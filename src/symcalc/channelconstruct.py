@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .codes import FrozenSpec, MonomialCode, polar_code
+from .decode import resolve_layer_order
 from .sim import Bec, BiAwgn, ChannelModel, noise_sigma
 
 
@@ -125,15 +126,6 @@ def bec_frozen_set(m: int, k: int, eps: float) -> FrozenSpec:
 # per-mask reliabilities under a layer permutation
 
 
-def _check_perm(m: int, perm: Sequence[int] | None) -> tuple[int, ...]:
-    if perm is None:
-        return tuple(range(m))
-    perm = tuple(perm)
-    if sorted(perm) != list(range(m)):
-        raise ValueError(f"{perm!r} is not a permutation of range({m})")
-    return perm
-
-
 def _branch_error_probs(m: int, channel: ChannelModel, rate: float) -> np.ndarray:
     """Bit-error probability of every transform branch; the recursion does not
     depend on the layer order, only the mask-to-branch gather does.  Branch q
@@ -176,7 +168,7 @@ def mask_error_probs(
     perm[m-1] is the variable split first; a set bit sends the mask through
     the degraded branch of its level.
     """
-    perm = _check_perm(m, perm)
+    perm = resolve_layer_order(m, perm)
     branch = _branch_error_probs(m, channel, rate)
     pos = _branch_positions(np.arange(1 << m), np.array([perm]))[0]
     return branch[pos]
@@ -270,7 +262,6 @@ def select_permutations(
 
 
 def _mc_score(code, perm, channel, frames, seed) -> float:
-    from . import decode as _decode
     from . import sim as _sim
 
     cfg = _sim.SimConfig(max_errors=frames + 1, max_frames=frames, seed=seed, decoder="sc")

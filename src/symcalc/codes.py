@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .bitmath import BitMatrix, BitVec, GF2mField, rank, rref
 
 
@@ -190,6 +192,41 @@ def kronecker_transform(u: BitVec, m: int) -> BitVec:
         lo = ~variable_mask(m, j)
         c ^= (c & lo) << (1 << j)
     return BitVec(1 << m, c)
+
+
+# byte masks that pick, in a little-endian word of eight 0/1 bytes, the bytes
+# whose index has bit `step` clear
+_WORD_STEPS = ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0x00000000FFFFFFFF))
+
+
+def kronecker_transform_array(bits: np.ndarray) -> np.ndarray:
+    """`kronecker_transform` along the last axis of an array of 0/1 entries.
+
+    Returns a new uint8 array; the transform maps coefficient vectors to
+    codewords and, being self-inverse, codewords back to coefficients.
+    Steps below eight entries run eight bytes at a time in 64-bit words.
+    """
+    out = np.array(bits, dtype=np.uint8, order="C")
+    n = out.shape[-1]
+    units, width = out, 1
+    if n % 8 == 0:
+        units, width = out.view("<u8"), 8
+        for step, mask in _WORD_STEPS:
+            units ^= (units & np.uint64(mask)) << np.uint64(8 * step)
+    step = width
+    while step < n:
+        pairs = units.reshape(-1, 2, step // width)
+        pairs[:, 1] ^= pairs[:, 0]
+        step *= 2
+    return out
+
+
+def encode_batch(code: MonomialCode, info: np.ndarray) -> np.ndarray:
+    """Encode (B, k) info bits, one per generating mask in ascending order,
+    to (B, n) uint8 codewords."""
+    u = np.zeros((info.shape[0], code.n), dtype=np.uint8)
+    u[:, code.sorted_masks()] = info
+    return kronecker_transform_array(u)
 
 
 def rm_code(r: int, m: int) -> MonomialCode:

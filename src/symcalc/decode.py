@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitmath import BitVec
-from .codes import LinearCode, MonomialCode, monomial_to_linear
+from .codes import LinearCode, MonomialCode, kronecker_transform_array, monomial_to_linear
 
 LLR_CLAMP = 1e30  # stands in for +/- infinity so BEC inputs stay arithmetic-safe
 
@@ -37,13 +37,29 @@ def correlation_metric(bits: np.ndarray | BitVec, llr: np.ndarray) -> float:
     return float(np.dot(_clamp(llr), 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)))
 
 
+def _log1p_exp_neg_abs(t: np.ndarray) -> np.ndarray:
+    """log(1 + exp(-|t|)), computed in place."""
+    np.copysign(t, -1.0, out=t)
+    np.exp(t, out=t)
+    return np.log1p(t, out=t)
+
+
 def llr_check(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarray:
     """Check-node combine: exact tanh rule in a numerically stable form,
-    min-sum plus the standard log-domain correction."""
-    base = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    min-sum plus the standard log-domain correction.
+
+    The min-sum part is sign(a) sign(b) min(|a|, |b|); a zero result may
+    carry either sign, which no comparison or sum distinguishes.
+    """
+    out = np.abs(a)
+    tmp = np.abs(b)
+    np.minimum(out, tmp, out=out)
+    np.copysign(out, np.multiply(a, b, out=tmp), out=out)
     if min_sum:
-        return base
-    return base + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+        return out
+    out += _log1p_exp_neg_abs(np.add(a, b, out=tmp))
+    out -= _log1p_exp_neg_abs(np.subtract(a, b, out=tmp))
+    return out
 
 
 @dataclass(frozen=True)
@@ -61,9 +77,25 @@ class DecodeResult:
     ties: int = 0
 
 
+# LLRs (frames x layer orders x n) in one pass of the SC recursion: 2048
+# frame-order rows at n = 256, and never fewer than one order
+GROUP_LLRS = 2048 * 256
+
+
+def resolve_layer_order(m: int, layer_perm: Sequence[int] | None) -> tuple[int, ...]:
+    """Validate a layer order; None stands for the identity."""
+    if layer_perm is None:
+        return tuple(range(m))
+    perm = tuple(int(x) for x in layer_perm)
+    if sorted(perm) != list(range(m)):
+        raise ValueError(f"{perm!r} is not a permutation of range({m})")
+    return perm
+
+
 @functools.lru_cache(maxsize=128)
 def _setup(m: int, gen_set: frozenset, perm: tuple[int, ...]):
-    """Coordinate gather, leaf info pattern, and u gather for one decode order."""
+    """Coordinate gather, its inverse, and the leaf info pattern for one
+    decode order."""
     n = 1 << m
     y = np.arange(n)
     var_idx = np.zeros(n, dtype=np.int64)
@@ -75,36 +107,72 @@ def _setup(m: int, gen_set: frozenset, perm: tuple[int, ...]):
         rel |= ((y >> perm[j]) & 1) << j
     info = np.zeros(n, dtype=bool)
     info[[(n - 1) ^ int(rel[v]) for v in gen_set]] = True
-    u_idx = (n - 1) ^ rel  # original mask -> leaf position
-    return coord, info, u_idx
+    inverse = np.argsort(coord)
+    for arr in (coord, inverse, info):
+        arr.setflags(write=False)
+    return coord, inverse, info
 
 
-def _resolve_perm(m: int, layer_perm: Sequence[int] | None) -> tuple[int, ...]:
-    if layer_perm is None:
-        return tuple(range(m))
-    perm = tuple(int(x) for x in layer_perm)
-    if sorted(perm) != list(range(m)):
-        raise ValueError(f"{perm!r} is not a permutation of range({m})")
-    return perm
+def _llr_batch(code: MonomialCode, llrs: np.ndarray) -> np.ndarray:
+    lam = _clamp(llrs)
+    if lam.ndim != 2 or lam.shape[1] != code.n:
+        raise ValueError(f"expected LLR batch of shape (B, {code.n}), got {lam.shape}")
+    return lam
 
 
-def _sc_rec(lam: np.ndarray, info: np.ndarray, min_sum: bool):
-    if lam.shape[1] == 1:
-        lam0 = lam[:, 0]
-        if info[0]:
-            u = (lam0 < 0).astype(np.uint8)
-            ties = (lam0 == 0).astype(np.int64)
-        else:
-            u = np.zeros(lam.shape[0], dtype=np.uint8)
-            ties = np.zeros(lam.shape[0], dtype=np.int64)
-        bits = u[:, None].copy()
-        return bits, u[:, None].copy(), ties
-    h = lam.shape[1] // 2
-    a, b = lam[:, :h], lam[:, h:]
-    cw0, u0, t0 = _sc_rec(llr_check(a, b, min_sum), info[:h], min_sum)
-    lg = b + (1.0 - 2.0 * cw0) * a
-    cw1, u1, t1 = _sc_rec(lg, info[h:], min_sum)
-    return np.hstack([cw0 ^ cw1, cw1]), np.hstack([u0, u1]), t0 + t1
+def _sc_rec(lam: np.ndarray, info: np.ndarray, bits: np.ndarray, ties: np.ndarray, min_sum: bool):
+    """SC over a subtree holding at least one info leaf; overwrites lam.
+
+    lam is (len, P, B): the subtree's LLRs for B frames under P layer orders,
+    info (len, P, 1) the orders' leaf patterns.  The subtree's codeword bits
+    go to `bits`, zero on entry, and zero-LLR info decisions are counted in
+    `ties` (P, B).  A subtree frozen under every order is skipped: its bits
+    stay zero and its sibling sees the LLRs b + a.
+    """
+    if lam.shape[0] == 1:
+        np.logical_and(lam[0] < 0, info[0], out=bits[0])
+        ties += (lam[0] == 0) & info[0]
+        return
+    h = lam.shape[0] // 2
+    a, b = lam[:h], lam[h:]
+    if info[:h].any():
+        _sc_rec(llr_check(a, b, min_sum), info[:h], bits[:h], ties, min_sum)
+    if info[h:].any():
+        np.negative(a, out=a, where=bits[:h])
+        _sc_rec(np.add(b, a, out=a), info[h:], bits[h:], ties, min_sum)  # b + (1 - 2 bit) a
+        bits[:h] ^= bits[h:]
+
+
+def sc_decode_orders(
+    code: MonomialCode,
+    llrs: np.ndarray,
+    perms: Sequence[Sequence[int]],
+    min_sum: bool = False,
+):
+    """SC under each of P layer orders for a batch of frames.
+
+    Returns codewords (B, P, n) and zero-LLR decision counts (B, P).  The
+    orders ride the batch axis of the recursion, in groups of at most
+    GROUP_LLRS LLRs so that the working set stays bounded.
+    """
+    setups = [_setup(code.m, code.gen_set, resolve_layer_order(code.m, p)) for p in perms]
+    if not setups:
+        raise ValueError("permutation list is empty")
+    lam_t = np.ascontiguousarray(_llr_batch(code, llrs).T)  # (n, B)
+    b = lam_t.shape[1]
+    codewords = np.empty((b, len(setups), code.n), dtype=np.uint8)
+    ties = np.empty((b, len(setups)), dtype=np.int64)
+    step = max(1, GROUP_LLRS // max(b * code.n, 1))
+    for lo in range(0, len(setups), step):
+        coord, inverse, info = (np.stack(arrs, axis=1) for arrs in zip(*setups[lo : lo + step]))
+        p = info.shape[1]
+        bits = np.zeros((code.n, p, b), dtype=bool)
+        group_ties = np.zeros((p, b), dtype=np.int64)
+        if info.any():
+            _sc_rec(lam_t[coord], info[:, :, None], bits, group_ties, min_sum)
+        codewords[:, lo : lo + p] = bits[inverse, np.arange(p)].transpose(2, 1, 0)
+        ties[:, lo : lo + p] = group_ties.T
+    return codewords, ties
 
 
 def sc_decode_batch(
@@ -113,16 +181,13 @@ def sc_decode_batch(
     layer_perm: Sequence[int] | None = None,
     min_sum: bool = False,
 ):
-    """Vectorized SC over a batch of frames: (B, n) LLRs in, (B, n) bits out."""
-    perm = _resolve_perm(code.m, layer_perm)
-    coord, info, u_idx = _setup(code.m, code.gen_set, perm)
-    lam = _clamp(llrs)
-    if lam.ndim != 2 or lam.shape[1] != code.n:
-        raise ValueError(f"expected LLR batch of shape (B, {code.n})")
-    bits_std, u_std, ties = _sc_rec(lam[:, coord], info, min_sum)
-    codewords = np.empty_like(bits_std)
-    codewords[:, coord] = bits_std
-    return codewords, u_std[:, u_idx], ties
+    """Vectorized SC over a batch of frames: (B, n) LLRs in, (B, n) bits out.
+
+    Returns (codewords, u, ties); u is the coefficient vector of each codeword.
+    """
+    codewords, ties = sc_decode_orders(code, llrs, [layer_perm], min_sum)
+    codewords = codewords[:, 0]
+    return codewords, kronecker_transform_array(codewords), ties[:, 0]
 
 
 def sc_decode(
@@ -139,48 +204,85 @@ def sc_decode(
 
 
 def _fork(lam0, metrics, L):
-    pen0 = np.logaddexp(0.0, -lam0)
-    pen1 = np.logaddexp(0.0, lam0)
-    met2 = np.concatenate([metrics + pen0, metrics + pen1], axis=1)
+    """Extend every path by bit 0 and by bit 1 and keep the L best.
+
+    lam0 and metrics are (B, p).  Returns the survivors' bits (B*p',), their
+    metrics (B, p') and their parents as rows b*p + j of the input paths,
+    in the order of a stable sort of the metrics.
+    """
     b, p = metrics.shape
-    par2 = np.broadcast_to(np.tile(np.arange(p), 2), (b, 2 * p))
-    bits2 = np.concatenate(
-        [np.zeros((b, p), dtype=np.uint8), np.ones((b, p), dtype=np.uint8)], axis=1
-    )
+    # logaddexp(0, -x) and logaddexp(0, x), the penalties of bits 0 and 1,
+    # are s and |x| + s with s = logaddexp(0, -|x|), bit for bit: numpy
+    # evaluates both as max + log1p(exp(-|x|)).
+    mag = np.abs(lam0)
+    small = np.logaddexp(0.0, -mag)
+    large = np.add(mag, small, out=mag)
+    favours0 = lam0 > 0
+    met2 = np.empty((b, 2 * p))
+    np.add(metrics, np.where(favours0, small, large), out=met2[:, :p])
+    np.add(metrics, np.where(favours0, large, small), out=met2[:, p:])
+    first = p * np.arange(b)[:, None]
     if 2 * p <= L:
-        return bits2, met2, np.ascontiguousarray(par2)
-    order = np.argsort(met2, axis=1, kind="stable")[:, :L]
-    return (
-        np.take_along_axis(bits2, order, axis=1),
-        np.take_along_axis(met2, order, axis=1),
-        np.take_along_axis(par2, order, axis=1),
-    )
+        bits = np.tile(np.repeat(np.array([0, 1], dtype=np.uint8), p), b)
+        return bits, met2, (first + np.tile(np.arange(p), 2)).ravel()
+    # Where the L+1 smallest metrics are distinct, any sort keeps the same L
+    # paths in the same order as a stable one; only rows with ties re-sort.
+    order = np.argsort(met2, axis=1)
+    kept = np.take_along_axis(met2, order[:, : L + 1], axis=1)
+    tied = (kept[:, 1:] == kept[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(met2[tied], axis=1, kind="stable")
+        kept[tied] = np.take_along_axis(met2[tied], order[tied, : L + 1], axis=1)
+    order = order[:, :L]
+    bits = order >= p
+    return bits.view(np.uint8).ravel(), kept[:, :L], (first + order - p * bits).ravel()
+
+
+def _frozen_metrics(lam: np.ndarray, metrics: np.ndarray, min_sum: bool) -> np.ndarray:
+    """Path metrics after a subtree frozen on every path: all its bits are 0.
+    Overwrites lam."""
+    if lam.shape[0] == 1:
+        return metrics + np.logaddexp(0.0, -lam[0].reshape(metrics.shape))
+    h = lam.shape[0] // 2
+    a, c = lam[:h], lam[h:]
+    metrics = _frozen_metrics(llr_check(a, c, min_sum), metrics, min_sum)
+    return _frozen_metrics(np.add(c, a, out=a), metrics, min_sum)
 
 
 def _scl_rec(lam: np.ndarray, metrics: np.ndarray, info: np.ndarray, L: int, min_sum: bool):
-    b, p, length = lam.shape
+    """SC list over a subtree with at least one info leaf; overwrites lam.
+
+    lam is (len, B*p): row b*p + j holds path j of frame b, whose metric is
+    metrics[b, j].  Returns the surviving paths' bits (len, B*p'), their
+    metrics (B, p') and their parents as rows of lam.  Frozen subtrees only
+    add to the metrics and keep every path in place, so nothing is gathered
+    for them.
+    """
+    length = lam.shape[0]
     if length == 1:
-        lam0 = lam[:, :, 0]
-        if info[0]:
-            bits, met, par = _fork(lam0, metrics, L)
-            return bits[:, :, None], bits[:, :, None].copy(), met, par
-        met = metrics + np.logaddexp(0.0, -lam0)
-        bits = np.zeros((b, p, 1), dtype=np.uint8)
-        par = np.ascontiguousarray(np.broadcast_to(np.arange(p), (b, p)))
-        return bits, bits.copy(), met, par
+        bits, met, par = _fork(lam[0].reshape(metrics.shape), metrics, L)
+        return bits[None, :], met, par
     h = length // 2
-    a, c = lam[:, :, :h], lam[:, :, h:]
-    cw0, u0, met1, par1 = _scl_rec(llr_check(a, c, min_sum), metrics, info[:h], L, min_sum)
-    sel = par1[:, :, None]
-    lg = np.take_along_axis(c, sel, axis=1) + (1.0 - 2.0 * cw0) * np.take_along_axis(a, sel, axis=1)
-    cw1, u1, met2, par2 = _scl_rec(lg, met1, info[h:], L, min_sum)
-    sel2 = par2[:, :, None]
-    cw0g = np.take_along_axis(cw0, sel2, axis=1)
-    u0g = np.take_along_axis(u0, sel2, axis=1)
-    bits = np.concatenate([cw0g ^ cw1, cw1], axis=2)
-    u = np.concatenate([u0g, u1], axis=2)
-    parents = np.take_along_axis(par1, par2, axis=1)
-    return bits, u, met2, parents
+    cw0 = par1 = None
+    if info[:h].any():
+        cw0, met1, par1 = _scl_rec(llr_check(lam[:h], lam[h:], min_sum), metrics, info[:h], L, min_sum)
+        lam = np.take(lam, par1, axis=1)
+        np.negative(lam[:h], out=lam[:h], where=cw0.view(bool))
+    else:
+        met1 = _frozen_metrics(llr_check(lam[:h], lam[h:], min_sum), metrics, min_sum)
+    lg = np.add(lam[h:], lam[:h], out=lam[:h])  # c + (1 - 2 bit) a
+    if not info[h:].any():
+        bits = np.zeros((length, lam.shape[1]), dtype=np.uint8)
+        bits[:h] = cw0
+        return bits, _frozen_metrics(lg, met1, min_sum), par1
+    cw1, met2, par2 = _scl_rec(lg, met1, info[h:], L, min_sum)
+    bits = np.empty((length, cw1.shape[1]), dtype=np.uint8)
+    bits[h:] = cw1
+    if cw0 is None:
+        bits[:h] = cw1
+        return bits, met2, par2
+    np.bitwise_xor(np.take(cw0, par2, axis=1), cw1, out=bits[:h])
+    return bits, met2, par1[par2]
 
 
 def scl_decode_batch(
@@ -193,15 +295,15 @@ def scl_decode_batch(
     """List decode a batch: returns (bits (B,P,n), u (B,P,n), penalties (B,P))."""
     if L < 1:
         raise ValueError("list size must be at least 1")
-    perm = _resolve_perm(code.m, layer_perm)
-    coord, info, u_idx = _setup(code.m, code.gen_set, perm)
-    lam = _clamp(llrs)
-    bits_std, u_std, penalties, _ = _scl_rec(
-        lam[:, None, coord], np.zeros((lam.shape[0], 1)), info, L, min_sum
-    )
-    codewords = np.empty_like(bits_std)
-    codewords[:, :, coord] = bits_std
-    return codewords, u_std[:, :, u_idx], penalties
+    coord, inverse, info = _setup(code.m, code.gen_set, resolve_layer_order(code.m, layer_perm))
+    lam = np.ascontiguousarray(_llr_batch(code, llrs).T[coord])  # (n, B)
+    metrics = np.zeros((lam.shape[1], 1))
+    if info.any():
+        bits, penalties, _ = _scl_rec(lam, metrics, info, L, min_sum)
+    else:
+        bits, penalties = np.zeros(lam.shape, dtype=np.uint8), _frozen_metrics(lam, metrics, min_sum)
+    codewords = np.ascontiguousarray(bits[inverse].T).reshape(penalties.shape + (code.n,))
+    return codewords, kronecker_transform_array(codewords), penalties
 
 
 def scl_decode(
@@ -235,33 +337,44 @@ def permutation_decode(
     perms: Sequence[Sequence[int]],
 ) -> DecodeResult:
     """SC decode under each layer order and keep the closest codeword."""
-    if not perms:
-        raise ValueError("permutation list is empty")
     llr = np.asarray(llr, dtype=np.float64)
-    results = [sc_decode(code, llr, layer_perm=p) for p in perms]
-    metrics = [r.metric for r in results]
+    cws = sc_decode_orders(code, llr[None, :], perms)[0][0]
+    metrics = np.array([correlation_metric(cw, llr) for cw in cws])
     best = int(np.argmax(metrics))  # first occurrence wins ties
-    order = np.lexsort((np.arange(len(metrics)), -np.asarray(metrics)))
-    candidates = tuple((results[i].codeword, results[i].metric) for i in order)
+    order = np.lexsort((np.arange(len(metrics)), -metrics))
+    candidates = tuple((BitVec.from_array(cws[i]), float(metrics[i])) for i in order)
     return DecodeResult(
-        results[best].codeword, results[best].u, results[best].metric, candidates
+        BitVec.from_array(cws[best]),
+        BitVec.from_array(kronecker_transform_array(cws[best])),
+        float(metrics[best]),
+        candidates,
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _monomial_generator(m: int, gen_set: frozenset) -> np.ndarray:
+    """The uint8 generator matrix of a monomial code, rows in ascending mask order."""
+    gen = monomial_to_linear(MonomialCode(m, gen_set)).generator_array().astype(np.uint8)
+    gen.setflags(write=False)
+    return gen
 
 
 def ml_decode_bruteforce(code: LinearCode | MonomialCode, llr: np.ndarray) -> DecodeResult:
     """Exact maximum-likelihood decoding by scoring all 2^k codewords."""
+    if code.k > ML_MAX_DIMENSION:
+        raise ValueError(f"k={code.k} exceeds the brute-force limit {ML_MAX_DIMENSION}")
     mono = code if isinstance(code, MonomialCode) else None
-    lin = monomial_to_linear(code) if mono is not None else code
-    if lin.k > ML_MAX_DIMENSION:
-        raise ValueError(f"k={lin.k} exceeds the brute-force limit {ML_MAX_DIMENSION}")
+    if mono is not None:
+        gen = _monomial_generator(mono.m, mono.gen_set)
+    else:
+        gen = code.generator_array().astype(np.uint8)
+    k = gen.shape[0]
     llr = np.asarray(llr, dtype=np.float64)
-    signs = 1.0 - 2.0 * lin.generator_array().astype(np.float64)
-    gen = lin.generator_array().astype(np.uint8)
     best_val = -np.inf
     best_idx = -1
     chunk = 1 << 12
-    total = 1 << lin.k
-    exps = np.arange(lin.k)
+    total = 1 << k
+    exps = np.arange(k)
     lam = _clamp(llr)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))

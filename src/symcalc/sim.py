@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitmath import BitVec
-from .codes import MonomialCode, monomial_to_linear
+from .codes import MonomialCode, encode_batch
 from . import decode as _dec
 
 
@@ -151,6 +151,13 @@ def _batch_correlations(codewords: np.ndarray, llrs: np.ndarray) -> np.ndarray:
     return np.einsum("bpn,bn->bp", 1.0 - 2.0 * codewords.astype(np.float64), lam)
 
 
+def _closest(codewords: np.ndarray, llrs: np.ndarray) -> np.ndarray:
+    """Each frame's best-correlated candidate (B, n) out of (B, P, n); the
+    first candidate wins ties."""
+    best = np.argmax(_batch_correlations(codewords, llrs), axis=1)
+    return np.take_along_axis(codewords, best[:, None, None], axis=1)[:, 0, :]
+
+
 def _decode_batch(code, llrs, config: SimConfig, layer_perm):
     """Returns the decoded codewords (B, n) for the configured decoder."""
     if config.decoder == "sc":
@@ -158,18 +165,10 @@ def _decode_batch(code, llrs, config: SimConfig, layer_perm):
         return cw
     if config.decoder == "scl":
         cw, _, _ = _dec.scl_decode_batch(code, llrs, config.list_size, layer_perm, config.min_sum)
-        corr = _batch_correlations(cw, llrs)
-        best = np.argmax(corr, axis=1)
-        return np.take_along_axis(cw, best[:, None, None], axis=1)[:, 0, :]
+        return _closest(cw, llrs)
     if config.decoder == "perm":
-        stacks = []
-        for perm in config.perms:
-            c, _, _ = _dec.sc_decode_batch(code, llrs, perm, config.min_sum)
-            stacks.append(c)
-        cw = np.stack(stacks, axis=1)  # (B, P, n)
-        corr = _batch_correlations(cw, llrs)
-        best = np.argmax(corr, axis=1)
-        return np.take_along_axis(cw, best[:, None, None], axis=1)[:, 0, :]
+        cw, _ = _dec.sc_decode_orders(code, llrs, config.perms, config.min_sum)
+        return _closest(cw, llrs)
     if config.decoder == "ml":
         out = np.empty((llrs.shape[0], code.n), dtype=np.uint8)
         for i in range(llrs.shape[0]):
@@ -186,22 +185,21 @@ class _BatchCounts:
     certified: int = 0
 
 
-def _run_batch(code, channel, config: SimConfig, layer_perm, gen, rate, lo: int, hi: int) -> _BatchCounts:
-    b = hi - lo
-    k, n = gen.shape
-    info = np.zeros((b, k), dtype=np.uint8)
-    llrs = np.empty((b, n), dtype=np.float64)
-    for i, f in enumerate(range(lo, hi)):
-        rng = frame_rng(config.seed, f)
-        if not config.all_zero:
-            info[i] = rng.integers(0, 2, size=k, dtype=np.uint8)
-        llrs[i] = transmit(channel, (info[i] @ gen) & 1, rng, rate)
-    sent = (info @ gen) & 1
+def _run_batch(code, channel, config: SimConfig, layer_perm, rate, lo: int, hi: int) -> _BatchCounts:
+    rngs = [frame_rng(config.seed, f) for f in range(lo, hi)]
+    info = np.zeros((hi - lo, code.k), dtype=np.uint8)
+    if not config.all_zero:
+        for i, rng in enumerate(rngs):
+            info[i] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+    sent = encode_batch(code, info)
+    llrs = np.empty(sent.shape, dtype=np.float64)
+    for i, rng in enumerate(rngs):  # channel draws follow each frame's info draws
+        llrs[i] = transmit(channel, sent[i], rng, rate)
     decoded = _decode_batch(code, llrs, config, layer_perm)
     errs = (decoded != sent).any(axis=1)
     corr_dec = _batch_correlations(decoded[:, None, :], llrs)[:, 0]
-    corr_sent = _batch_correlations(sent[:, None, :].astype(np.uint8), llrs)[:, 0]
-    out = _BatchCounts(frames=b)
+    corr_sent = _batch_correlations(sent[:, None, :], llrs)[:, 0]
+    out = _BatchCounts(frames=hi - lo)
     out.errors = int(errs.sum())
     out.ties = int((errs & (corr_dec == corr_sent)).sum())
     out.certified = int((corr_dec >= corr_sent).sum())
@@ -232,7 +230,6 @@ def simulate_fer(
     """
     start = time.perf_counter()
     config = _resolve_perms(code, channel, config)
-    gen = monomial_to_linear(code).generator_array()
     rate = code.k / code.n
     totals = _BatchCounts()
 
@@ -244,7 +241,7 @@ def simulate_fer(
             lo = hi
 
     def work(span):
-        return _run_batch(code, channel, config, layer_perm, gen, rate, *span)
+        return _run_batch(code, channel, config, layer_perm, rate, *span)
 
     stop_reason = "max_frames"
     if config.workers <= 1:

@@ -1,9 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symcalc import decode
 from symcalc.bitmath import BitVec
 from symcalc.codes import (
     MonomialCode,
@@ -14,11 +18,15 @@ from symcalc.codes import (
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
 from symcalc.decode import (
     correlation_metric,
+    llr_check,
     ml_decode_bruteforce,
     ml_lower_bound_flag,
     permutation_decode,
     sc_decode,
+    sc_decode_batch,
+    sc_decode_orders,
     scl_decode,
+    scl_decode_batch,
 )
 from symcalc.sim import Bec, BiAwgn, frame_rng, transmit
 
@@ -63,6 +71,158 @@ def random_frame(code, f, db=2.0, seed=99):
     return cw, llr
 
 
+# ---------------------------------------------------------------------------
+# Reference batch decoders: the plain recursions that carry u alongside the
+# codeword, with one gather per node and no shortcut for frozen subtrees.
+# The engine in symcalc.decode must reproduce their outputs bit for bit.
+
+
+def ref_setup(m, gen_set, perm):
+    n = 1 << m
+    y = np.arange(n)
+    var_idx = np.zeros(n, dtype=np.int64)
+    for j in range(m):
+        var_idx |= ((y >> j) & 1) << perm[j]
+    coord = var_idx[::-1].copy()
+    rel = np.zeros(n, dtype=np.int64)
+    for j in range(m):
+        rel |= ((y >> perm[j]) & 1) << j
+    info = np.zeros(n, dtype=bool)
+    info[[(n - 1) ^ int(rel[v]) for v in gen_set]] = True
+    return coord, info, (n - 1) ^ rel
+
+
+def ref_sc_rec(lam, info, min_sum):
+    if lam.shape[1] == 1:
+        lam0 = lam[:, 0]
+        if info[0]:
+            u = (lam0 < 0).astype(np.uint8)
+            ties = (lam0 == 0).astype(np.int64)
+        else:
+            u = np.zeros(lam.shape[0], dtype=np.uint8)
+            ties = np.zeros(lam.shape[0], dtype=np.int64)
+        return u[:, None].copy(), u[:, None].copy(), ties
+    h = lam.shape[1] // 2
+    a, b = lam[:, :h], lam[:, h:]
+    cw0, u0, t0 = ref_sc_rec(llr_check(a, b, min_sum), info[:h], min_sum)
+    cw1, u1, t1 = ref_sc_rec(b + (1.0 - 2.0 * cw0) * a, info[h:], min_sum)
+    return np.hstack([cw0 ^ cw1, cw1]), np.hstack([u0, u1]), t0 + t1
+
+
+def ref_sc_batch(code, llrs, perm, min_sum=False):
+    coord, info, u_idx = ref_setup(code.m, code.gen_set, perm)
+    lam = np.clip(llrs, -decode.LLR_CLAMP, decode.LLR_CLAMP)
+    bits, u, ties = ref_sc_rec(lam[:, coord], info, min_sum)
+    cw = np.empty_like(bits)
+    cw[:, coord] = bits
+    return cw, u[:, u_idx], ties
+
+
+def ref_fork(lam0, metrics, L):
+    met2 = np.concatenate(
+        [metrics + np.logaddexp(0.0, -lam0), metrics + np.logaddexp(0.0, lam0)], axis=1
+    )
+    b, p = metrics.shape
+    par2 = np.broadcast_to(np.tile(np.arange(p), 2), (b, 2 * p))
+    bits2 = np.concatenate([np.zeros((b, p), np.uint8), np.ones((b, p), np.uint8)], axis=1)
+    if 2 * p <= L:
+        return bits2, met2, np.ascontiguousarray(par2)
+    order = np.argsort(met2, axis=1, kind="stable")[:, :L]
+    return tuple(np.take_along_axis(x, order, axis=1) for x in (bits2, met2, par2))
+
+
+def ref_scl_rec(lam, metrics, info, L, min_sum):
+    b, p, length = lam.shape
+    if length == 1:
+        lam0 = lam[:, :, 0]
+        if info[0]:
+            bits, met, par = ref_fork(lam0, metrics, L)
+            return bits[:, :, None], bits[:, :, None].copy(), met, par
+        bits = np.zeros((b, p, 1), dtype=np.uint8)
+        par = np.ascontiguousarray(np.broadcast_to(np.arange(p), (b, p)))
+        return bits, bits.copy(), metrics + np.logaddexp(0.0, -lam0), par
+    h = length // 2
+    a, c = lam[:, :, :h], lam[:, :, h:]
+    cw0, u0, met1, par1 = ref_scl_rec(llr_check(a, c, min_sum), metrics, info[:h], L, min_sum)
+    sel = par1[:, :, None]
+    lg = np.take_along_axis(c, sel, axis=1) + (1.0 - 2.0 * cw0) * np.take_along_axis(a, sel, axis=1)
+    cw1, u1, met2, par2 = ref_scl_rec(lg, met1, info[h:], L, min_sum)
+    sel2 = par2[:, :, None]
+    bits = np.concatenate([np.take_along_axis(cw0, sel2, axis=1) ^ cw1, cw1], axis=2)
+    u = np.concatenate([np.take_along_axis(u0, sel2, axis=1), u1], axis=2)
+    return bits, u, met2, np.take_along_axis(par1, par2, axis=1)
+
+
+def ref_scl_batch(code, llrs, L, perm, min_sum=False):
+    coord, info, u_idx = ref_setup(code.m, code.gen_set, perm)
+    lam = np.clip(llrs, -decode.LLR_CLAMP, decode.LLR_CLAMP)
+    bits, u, penalties, _ = ref_scl_rec(lam[:, None, coord], np.zeros((lam.shape[0], 1)), info, L, min_sum)
+    cw = np.empty_like(bits)
+    cw[:, :, coord] = bits
+    return cw, u[:, :, u_idx], penalties
+
+
+@st.composite
+def decode_cases(draw, max_m=6):
+    """A random monomial code with m <= max_m, layer orders and LLR frames.
+
+    Half the cases are BEC frames (LLR +-inf or 0), so that zero-LLR
+    decisions and equal path metrics occur; the others are BI-AWGN-like.
+    """
+    m = draw(st.integers(1, max_m))
+    n = 1 << m
+    masks = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    perms = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = draw(st.integers(1, 6))
+    cw = rng.integers(0, 2, (frames, n))
+    if draw(st.booleans()):
+        llrs = np.where(rng.random((frames, n)) < draw(st.floats(0.0, 1.0)), 0.0, (1.0 - 2.0 * cw) * np.inf)
+    else:
+        llrs = (1.0 - 2.0 * cw + draw(st.floats(0.1, 2.0)) * rng.standard_normal((frames, n))) * 2.0
+    return MonomialCode(m, frozenset(masks)), [tuple(p) for p in perms], llrs, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(decode_cases(), st.integers(1, 12))
+def test_sc_orders_match_reference_per_order(case, group_rows):
+    """Orders batched in groups (of any size, the last one partial) give
+    each order's reference codewords and tie counts."""
+    code, perms, llrs, min_sum = case
+    with mock.patch.object(decode, "GROUP_LLRS", group_rows * code.n):
+        cws, ties = sc_decode_orders(code, llrs, perms, min_sum)
+    assert cws.shape == (llrs.shape[0], len(perms), code.n)
+    for i, perm in enumerate(perms):
+        ref_cw, _, ref_ties = ref_sc_batch(code, llrs, perm, min_sum)
+        assert np.array_equal(cws[:, i], ref_cw)
+        assert np.array_equal(ties[:, i], ref_ties)
+
+
+@settings(max_examples=150, deadline=None)
+@given(decode_cases())
+def test_sc_batch_u_matches_reference_and_reencodes(case):
+    code, perms, llrs, min_sum = case
+    cw, u, ties = sc_decode_batch(code, llrs, perms[0], min_sum)
+    ref_cw, ref_u, ref_ties = ref_sc_batch(code, llrs, perms[0], min_sum)
+    assert np.array_equal(cw, ref_cw) and np.array_equal(u, ref_u) and np.array_equal(ties, ref_ties)
+    for row_cw, row_u in zip(cw, u):
+        assert encode(code, BitVec.from_array(row_u)).to_array().tolist() == row_cw.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(decode_cases(), st.integers(1, 40))
+def test_scl_batch_matches_reference(case, L):
+    """Lists, u and penalties equal the reference bit for bit, also where
+    BEC frames give equal path metrics."""
+    code, perms, llrs, min_sum = case
+    cw, u, penalties = scl_decode_batch(code, llrs, L, perms[0], min_sum)
+    ref_cw, ref_u, ref_penalties = ref_scl_batch(code, llrs, L, perms[0], min_sum)
+    assert np.array_equal(cw, ref_cw) and np.array_equal(u, ref_u)
+    assert np.array_equal(penalties.view(np.uint64), ref_penalties.view(np.uint64))
+    for row_cw, row_u in zip(cw.reshape(-1, code.n), u.reshape(-1, code.n)):
+        assert encode(code, BitVec.from_array(row_u)).to_array().tolist() == row_cw.tolist()
+
+
 class TestScDecode:
     def test_noiseless_rm13(self):
         code = rm_code(1, 3)
@@ -100,6 +260,14 @@ class TestScDecode:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sc_decode(rm_code(1, 3), np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(2, 32), (2, 8), (16,), (2, 2, 16)])
+    def test_batch_shape_mismatch_rejected(self, shape):
+        code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
+        with pytest.raises(ValueError):
+            sc_decode_batch(code, np.zeros(shape))
+        with pytest.raises(ValueError):
+            scl_decode_batch(code, np.zeros(shape), 4)
 
     def test_output_is_codeword(self):
         code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
@@ -172,6 +340,8 @@ class TestPermutationDecode:
     def test_empty_perm_list_rejected(self):
         with pytest.raises(ValueError):
             permutation_decode(rm_code(1, 3), np.zeros(8), [])
+        with pytest.raises(ValueError):
+            sc_decode_orders(rm_code(1, 3), np.zeros((2, 8)), [])
 
     def test_candidates_are_codewords(self):
         from symcalc.bitmath import BitMatrix, rank
