@@ -3,10 +3,15 @@
 Vectors are plain Python integers (bit i of the payload = coordinate i),
 matrices pack rows into uint64 words for vectorized elimination.  Everything
 is immutable after construction.
+
+One elimination kernel, `_eliminate`, serves `rref`, `rank` and
+`kernel_basis`: a Method of Four Russians reduction over 8-column strips that
+clears each strip in every row with a single table lookup.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -124,12 +129,16 @@ class BitMatrix:
         rows, cols = arr.shape
         nw = _n_words(cols)
         packed = np.packbits(arr, axis=1, bitorder="little")
-        padded = np.zeros((rows, nw * 8), dtype=np.uint8)
-        padded[:, : packed.shape[1]] = packed
-        return cls(padded.view("<u8").astype(np.uint64), cols)
+        if packed.shape[1] != nw * 8:
+            packed = np.pad(packed, ((0, 0), (0, nw * 8 - packed.shape[1])))
+        return cls(np.ascontiguousarray(packed).view("<u8"), cols)
 
     def row(self, i: int) -> BitVec:
         return BitVec(self.cols, _words_to_int(self._data[i]))
+
+    def head(self, count: int) -> "BitMatrix":
+        """The first `count` rows, sharing this matrix's frozen words."""
+        return BitMatrix(self._data[:count], self.cols)
 
     def row_ints(self) -> list[int]:
         return [_words_to_int(self._data[i]) for i in range(self.rows)]
@@ -158,74 +167,129 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-def _column_bit(data: np.ndarray, col: int) -> np.ndarray:
-    w, b = divmod(col, _WORD)
-    return (data[:, w] >> np.uint64(b)) & np.uint64(1)
+# columns per elimination strip: the strip's byte of a row indexes a 256-entry table
+_STRIP = 8
+# _BYTE_BITS[j, v] is bit j of the byte value v
+_BYTE_BITS = (np.arange(256) >> np.arange(_STRIP)[:, None]) & 1
+# _SELECT[q][i, j] is all ones when bit j of i is set, else zero
+_SELECT = [
+    np.where(_BYTE_BITS[:q, : 1 << q].T[:, :, None] == 1, ~np.uint64(0), np.uint64(0))
+    for q in range(5)
+]
+
+
+def _combinations(rows: np.ndarray) -> np.ndarray:
+    """The 2^p XOR combinations of p word rows; entry i combines the rows
+    whose bit is set in i.  Built from tables of at most 16 entries."""
+    p = rows.shape[0]
+    if p <= 4:
+        return np.bitwise_xor.reduce(rows & _SELECT[p], axis=1)
+    hi, lo = _combinations(rows[4:]), _combinations(rows[:4])
+    return (hi[:, None] ^ lo).reshape(-1, rows.shape[1])
+
+
+def _strip_pivots(below: list[int], r: int) -> tuple[list[int], list[int], list[int]]:
+    """Pivots of one strip from `below`, the strip patterns of rows r, r+1, ...
+
+    Picks rows whose distinct patterns are independent, then combines them
+    into pivot rows in reduced echelon form on the strip.  Returns the picked
+    rows, the pivot bits and, per pivot, the mask of picked rows whose XOR is
+    its pivot row.
+    """
+    basis: dict[int, tuple[int, int]] = {}  # lowest bit -> (pattern, picked-row mask)
+    picked: list[int] = []
+    for v in set(below):
+        raw, combo = v, 0
+        while v and (v & -v) in basis:
+            bv, bc = basis[v & -v]
+            v ^= bv
+            combo ^= bc
+        if v:
+            basis[v & -v] = (v, combo | 1 << len(picked))
+            picked.append(r + below.index(raw))
+            if len(picked) == _STRIP:
+                break
+    lows = sorted(basis)
+    for hi in reversed(lows):
+        hv, hc = basis[hi]
+        for lo in lows:
+            if lo >= hi:
+                break
+            lv, lc = basis[lo]
+            if lv & hi:
+                basis[lo] = (lv ^ hv, lc ^ hc)
+    bits = [lo.bit_length() - 1 for lo in lows]
+    return picked, bits, [basis[lo][1] for lo in lows]
+
+
+def _eliminate(data: np.ndarray, cols: int) -> list[int]:
+    """Bring the word array `data` to reduced row echelon form in place and
+    return the pivot columns.
+
+    Method of Four Russians (Albrecht, Bard & Hart, ACM TOMS 2010): each strip
+    of 8 columns takes its pivots from the distinct strip patterns of the rows
+    below the pivots found so far.  A table of all 2^p XOR combinations of the
+    p picked rows then clears the strip's pivot columns in every row with one
+    indexed XOR, which zeroes the picked rows; the p pivot rows take their
+    places below the earlier pivots.
+    """
+    rows = data.shape[0]
+    # the strip of columns 8s..8s+7 is byte s of a row on a little-endian host
+    data_bytes = data.view(np.uint8)
+    flip = 0 if sys.byteorder == "little" else 7
+    pivots: list[int] = []
+    r = 0
+    for c0 in range(0, cols, _STRIP):
+        if r == rows:
+            break
+        pat = data_bytes[:, (c0 // _STRIP) ^ flip]
+        picked, bits, combos = _strip_pivots(pat[r:].tolist(), r)
+        if not picked:
+            continue
+        p = len(picked)
+        table = _combinations(data[picked])
+        combos = np.array(combos, dtype=np.intp)
+        # lut[v]: the picked rows whose XOR clears the pivot bits of pattern v
+        lut = np.bitwise_xor.reduce(_BYTE_BITS[bits] * combos[:, None], axis=0)
+        data ^= np.take(table, np.take(lut, pat), axis=0)
+        # the picked rows are zero now; rows in the pivot slots move into them
+        vacated = [i for i in picked if i >= r + p]
+        if vacated:
+            data[vacated] = data[sorted(set(range(r, r + p)).difference(picked))]
+        data[r : r + p] = table[combos]
+        pivots.extend(c0 + b for b in bits)
+        r += p
+    return pivots
 
 
 def rank(mat: BitMatrix) -> int:
     """Row rank over GF(2).  The input is not modified."""
-    if mat.rows == 0 or mat.cols == 0:
-        return 0
-    data = mat._data.copy()
-    r = 0
-    for col in range(mat.cols):
-        if r == mat.rows:
-            break
-        nz = np.nonzero(_column_bit(data[r:], col))[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            data[[r, p]] = data[[p, r]]
-        flip = r + 1 + np.nonzero(_column_bit(data[r + 1 :], col))[0]
-        data[flip] ^= data[r]
-        r += 1
-    return r
+    return len(_eliminate(mat._data.copy(), mat.cols))
 
 
 def rref(mat: BitMatrix) -> tuple[BitMatrix, list[int]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns.
 
     The result has the same shape as the input; zero rows sink to the bottom.
-    Pivoting is deterministic: the first nonzero column, topmost nonzero row.
+    The nonzero rows are the unique reduced echelon basis of the row space.
     """
     data = mat._data.copy()
-    pivots: list[int] = []
-    r = 0
-    for col in range(mat.cols):
-        if r == mat.rows:
-            break
-        below = _column_bit(data[r:], col)
-        nz = np.nonzero(below)[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            data[[r, p]] = data[[p, r]]
-        ones = np.nonzero(_column_bit(data, col))[0]
-        ones = ones[ones != r]
-        data[ones] ^= data[r]
-        pivots.append(col)
-        r += 1
+    pivots = _eliminate(data, mat.cols)
     return BitMatrix(data, mat.cols), pivots
 
 
 def kernel_basis(mat: BitMatrix) -> BitMatrix:
     """Basis of the right null space {x : mat @ x^T = 0}.
 
-    Row count equals cols - rank(mat).
+    Row count equals cols - rank(mat); row i is the unit vector of the i-th
+    free column plus the pivot columns that cancel it.
     """
     reduced, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(mat.cols) if c not in pivot_set]
-    red = reduced.to_array()
-    out = np.zeros((len(free_cols), mat.cols), dtype=np.uint8)
-    for idx, f in enumerate(free_cols):
-        out[idx, f] = 1
-        for i, p in enumerate(pivots):
-            out[idx, p] = red[i, f]
-    return BitMatrix.from_array(out) if len(free_cols) else BitMatrix.zeros(0, mat.cols)
+    free = np.setdiff1d(np.arange(mat.cols), pivots)
+    out = np.zeros((free.size, mat.cols), dtype=np.uint8)
+    out[np.arange(free.size), free] = 1
+    out[:, pivots] = reduced.head(len(pivots)).to_array()[:, free].T
+    return BitMatrix.from_array(out)
 
 
 def matmul_gf2(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -316,6 +380,29 @@ class GF2mField:
             base = self.mul(base, base)
             e >>= 1
         return res
+
+    def powers(self, exponents: Iterable[int]) -> np.ndarray:
+        """x^e for every element x (columns) and each exponent e >= 1 (rows).
+
+        Reads log and antilog tables built once per call, so the cost is one
+        pass over the field plus one table lookup per entry.
+        """
+        exps = np.fromiter(exponents, dtype=np.int64)
+        if (exps < 1).any():
+            raise ValueError("exponents must be positive")
+        order = self.size - 1
+        antilog = np.empty(order, dtype=np.int64)
+        x = 1
+        for i in range(order):
+            antilog[i] = x
+            x <<= 1
+            if x >> self.m:
+                x ^= self.poly
+        log = np.zeros(self.size, dtype=np.int64)
+        log[antilog] = np.arange(order)
+        out = np.zeros((exps.size, self.size), dtype=np.int64)
+        out[:, 1:] = antilog[(log[1:] * exps[:, None]) % order]
+        return out
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitmath import BitMatrix, rank, rref
+from .bitmath import BitMatrix, rref
 from .codes import LinearCode, Monomial, MonomialCode, monomial_to_linear
 
 
@@ -80,15 +80,11 @@ def directional_derivative_code(code: LinearCode, b: int | Direction) -> LinearC
     m = code.m
     if not 0 < b < (1 << m):
         raise ValueError("direction must be a nonzero m-bit mask")
+    # coset representatives x (bit p clear) and their partners x + b
+    reps = _coset_representatives(m, (b & -b).bit_length() - 1)
     arr = code.generator_array()
-    shifted = arr[:, _translation_index(m, b)]
-    h = arr ^ shifted
-    p = (b & -b).bit_length() - 1
-    punctured = h[:, _coset_representatives(m, p)]
-    mat = BitMatrix.from_array(punctured)
-    reduced, pivots = rref(mat)
-    basis = BitMatrix.from_rows(reduced.row_ints()[: len(pivots)], mat.cols)
-    return LinearCode(basis, validate=False)
+    reduced, pivots = rref(BitMatrix.from_array(arr[:, reps] ^ arr[:, reps ^ b]))
+    return LinearCode(reduced.head(len(pivots)), validate=False)
 
 
 def symmetry_profile(code: LinearCode | MonomialCode) -> SymmetryProfile:

@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-frames", type=int, default=1_000_000, dest="max_frames")
     p.add_argument("--min-dist", type=int, default=5, dest="min_dist")
     p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="threads, 1..CPU count")
     p.add_argument("--all-zero", action="store_true", dest="all_zero")
     p.add_argument("--min-sum", action="store_true", dest="min_sum")
     p.add_argument("--out", default=None)

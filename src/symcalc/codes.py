@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bitmath import BitMatrix, BitVec, GF2mField, rank, rref
+from .bitmath import BitMatrix, BitVec, GF2mField, kernel_basis, rank, rref
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,10 +109,8 @@ class LinearCode:
     @classmethod
     def from_spanning_rows(cls, rows: Iterable[int | BitVec], n: int) -> "LinearCode":
         """Reduce an arbitrary spanning set to a canonical full-rank generator."""
-        mat = BitMatrix.from_rows(list(rows), n)
-        reduced, pivots = rref(mat)
-        basis = BitMatrix.from_rows(reduced.row_ints()[: len(pivots)], n)
-        return cls(basis, validate=False)
+        reduced, pivots = rref(BitMatrix.from_rows(list(rows), n))
+        return cls(reduced.head(len(pivots)), validate=False)
 
     @property
     def k(self) -> int:
@@ -134,9 +132,7 @@ class LinearCode:
         """RREF of the generator; equal row spaces give equal canonicals."""
         if self._canonical is None:
             reduced, pivots = rref(self.generator)
-            self._canonical = BitMatrix.from_rows(
-                reduced.row_ints()[: len(pivots)], self.n
-            )
+            self._canonical = reduced.head(len(pivots))
         return self._canonical
 
     def same_code(self, other: "LinearCode") -> bool:
@@ -253,10 +249,10 @@ def monomial_min_distance(code: MonomialCode) -> int:
 
 def monomial_to_linear(code: MonomialCode) -> LinearCode:
     """Generator matrix whose rows evaluate the generating monomials (ascending)."""
-    rows = [evaluate_monomial(v, code.m).payload for v in code.sorted_masks()]
-    mat = BitMatrix.from_rows(rows, code.n)
+    # row i encodes the i-th unit coefficient vector
+    evals = encode_batch(code, np.eye(code.k, dtype=np.uint8))
     # distinct monomials have independent evaluations
-    return LinearCode(mat, validate=False)
+    return LinearCode(BitMatrix.from_array(evals), validate=False)
 
 
 def ebch_code(fld: GF2mField, delta: int) -> LinearCode:
@@ -273,26 +269,23 @@ def ebch_code(fld: GF2mField, delta: int) -> LinearCode:
     n = 1 << m
     if not 2 <= delta <= n - 1:
         raise ValueError(f"design distance must be in [2, {n - 1}]")
-    rows: list[int] = [(1 << n) - 1]  # overall parity across all n coordinates
-    for j in range(1, delta - 1):
-        powers = [fld.pow(x, j) for x in range(n)]  # 0^j = 0 at the extension
-        for b in range(m):
-            payload = 0
-            for x, e in enumerate(powers):
-                if (e >> b) & 1:
-                    payload |= 1 << x
-            rows.append(payload)
-    h_ext = BitMatrix.from_rows(rows, n)
-    from .bitmath import kernel_basis
-
-    gen = kernel_basis(h_ext)
-    return LinearCode(gen, validate=False)
+    # row 0 is the overall parity; row (j - 1) * m + b + 1 holds bit b of x^j
+    # over all x, for j = 1..delta-2 (0^j = 0 at the extension)
+    h_ext = np.ones((1 + (delta - 2) * m, n), dtype=np.uint8)
+    bits = h_ext[1:].reshape(delta - 2, m, n)
+    powers = fld.powers(range(1, delta - 1))
+    for b in range(m):
+        bits[:, b] = (powers >> b) & 1
+    return LinearCode(kernel_basis(BitMatrix.from_array(h_ext)), validate=False)
 
 
 # ---------------------------------------------------------------------------
 # Code file format: a one-line header `m=<int> type=monomial|linear` followed
 # by one lowercase hex payload per line (bit 0 of the value = coordinate 0;
-# for monomial codes the value is the exponent mask).
+# for monomial codes the value is the exponent mask).  m is bounded by the
+# largest field GF2mField supports.
+
+MAX_M = 16
 
 
 def save_code(code: MonomialCode | LinearCode, path: str | Path) -> None:
@@ -307,18 +300,30 @@ def save_code(code: MonomialCode | LinearCode, path: str | Path) -> None:
 
 
 def load_code(path: str | Path) -> MonomialCode | LinearCode:
+    """Read a code file; a malformed header or payload raises ValueError
+    before anything of size 2^m is allocated."""
     text = Path(path).read_text().strip().splitlines()
     if not text:
         raise ValueError("empty code file")
-    header = dict(part.split("=", 1) for part in text[0].split())
-    m = int(header["m"])
+    header = dict(part.partition("=")[::2] for part in text[0].split())
+    for key in ("m", "type"):
+        if key not in header:
+            raise ValueError(f"code file header has no {key}= field")
+    try:
+        m = int(header["m"])
+    except ValueError:
+        raise ValueError(f"header m={header['m']!r} is not an integer") from None
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"header m={m} is outside 1..{MAX_M}")
     kind = header["type"]
+    if kind not in ("monomial", "linear"):
+        raise ValueError(f"unknown code type {kind!r}")
     values = [int(line, 16) for line in text[1:] if line.strip()]
     if kind == "monomial":
         return MonomialCode(m, frozenset(values))
-    if kind == "linear":
-        return LinearCode(BitMatrix.from_rows(values, 1 << m))
-    raise ValueError(f"unknown code type {kind!r}")
+    if any(v < 0 or v >> (1 << m) for v in values):
+        raise ValueError(f"row payload out of range for length {1 << m}")
+    return LinearCode(BitMatrix.from_rows(values, 1 << m))
 
 
 def binomial(n: int, k: int) -> int:

@@ -9,6 +9,7 @@ the same number of derivative monomials.  Targets are variables 0..t-1.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import deque
@@ -343,11 +344,14 @@ def _finish(req, masks, log) -> tuple[MonomialCode, list[RemovalStep]]:
     code = MonomialCode(req.m, frozenset(masks))
     max_deg = max((v.bit_count() for v in masks), default=0)
     if max_deg >= req.m - 1 and req.k < (1 << req.m):
-        logger.warning(
-            "construction for m=%d t=%d k=%d has minimum distance %d",
-            req.m, req.t, req.k, 1 << (req.m - max_deg),
-        )
+        _warn_low_distance(req.m, req.t, req.k, 1 << (req.m - max_deg))
     return code, log
+
+
+@functools.lru_cache(maxsize=None)
+def _warn_low_distance(m: int, t: int, k: int, d: int) -> None:
+    """Log the low-distance warning once per (m, t, k, d) in a process."""
+    logger.warning("construction for m=%d t=%d k=%d has minimum distance %d", m, t, k, d)
 
 
 def construct_partially_symmetric(req: ConstructionRequest) -> MonomialCode:

@@ -10,6 +10,7 @@ metric ties the transmitted codeword is reported separately as a tie.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -111,6 +112,9 @@ class SimConfig:
             raise ValueError("limits must be positive")
         if self.decoder not in ("sc", "scl", "perm", "ml"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.workers <= cpus:
+            raise ValueError(f"workers must be in 1..{cpus} (the CPU count)")
 
     def label(self) -> str:
         if self.decoder == "scl":

@@ -124,6 +124,103 @@ def test_kernel_annihilates_and_has_complementary_rank(rows, cols, seed):
         assert rank(ker) == ker.rows
 
 
+# ---------------------------------------------------------------------------
+# Frozen per-column elimination: the reference for the strip kernel
+
+
+def _column_bit(data, col):
+    w, b = divmod(col, 64)
+    return (data[:, w] >> np.uint64(b)) & np.uint64(1)
+
+
+def ref_rref(mat):
+    """One column at a time: first nonzero column, topmost nonzero row."""
+    data = mat._data.copy()
+    pivots = []
+    r = 0
+    for col in range(mat.cols):
+        if r == mat.rows:
+            break
+        nz = np.nonzero(_column_bit(data[r:], col))[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            data[[r, p]] = data[[p, r]]
+        ones = np.nonzero(_column_bit(data, col))[0]
+        ones = ones[ones != r]
+        data[ones] ^= data[r]
+        pivots.append(col)
+        r += 1
+    return BitMatrix(data, mat.cols), pivots
+
+
+def ref_kernel_basis(mat):
+    reduced, pivots = ref_rref(mat)
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(mat.cols) if c not in pivot_set]
+    red = reduced.to_array()
+    out = np.zeros((len(free_cols), mat.cols), dtype=np.uint8)
+    for idx, f in enumerate(free_cols):
+        out[idx, f] = 1
+        for i, p in enumerate(pivots):
+            out[idx, p] = red[i, f]
+    return BitMatrix.from_array(out) if len(free_cols) else BitMatrix.zeros(0, mat.cols)
+
+
+def structured_matrix(rows, cols, kind, seed):
+    """A 0/1 matrix: dense, low rank, sparse, or few distinct rows with
+    duplicates and zero rows."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        arr = rng.integers(0, 2, (rows, cols))
+    elif kind == "low_rank":
+        r = int(rng.integers(0, 12))
+        arr = rng.integers(0, 2, (rows, r)) @ rng.integers(0, 2, (r, cols))
+    elif kind == "sparse":
+        arr = rng.random((rows, cols)) < 0.02
+    else:
+        base = rng.integers(0, 2, (int(rng.integers(1, 6)), cols))
+        arr = base[rng.integers(0, base.shape[0], rows)]
+        arr[rng.random(rows) < 0.3] = 0
+    return BitMatrix.from_array(np.asarray(arr, dtype=np.int64).reshape(rows, cols) & 1)
+
+
+matrices = st.builds(
+    structured_matrix,
+    st.integers(0, 600),
+    st.one_of(st.integers(1, 600), st.sampled_from([1, 7, 8, 9, 63, 64, 65, 127, 128, 129])),
+    st.sampled_from(["dense", "low_rank", "sparse", "duplicates"]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices)
+def test_rref_and_rank_match_per_column_reference(mat):
+    reduced, pivots = rref(mat)
+    ref_reduced, ref_pivots = ref_rref(mat)
+    assert pivots == ref_pivots
+    assert reduced == ref_reduced
+    assert rank(mat) == len(ref_pivots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices)
+def test_kernel_basis_matches_per_column_reference(mat):
+    ker = kernel_basis(mat)
+    assert ker == ref_kernel_basis(mat)
+    assert ker.rows == mat.cols - rank(mat)
+    prod = mat.to_array().astype(np.float64) @ ker.to_array().T.astype(np.float64)
+    assert not (prod.astype(np.int64) % 2).any()
+
+
+def test_head_shares_rows():
+    mat = BitMatrix.from_rows([0b101, 0b011, 0b110], 3)
+    assert mat.head(2) == BitMatrix.from_rows([0b101, 0b011], 3)
+    assert mat.head(0).rows == 0
+
+
 def test_rank_rref_random_dense_64():
     rng = np.random.RandomState(1234)
     arr = rng.randint(0, 2, size=(64, 64)).astype(np.uint8)

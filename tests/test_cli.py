@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -58,6 +59,30 @@ class TestAnalyzeCommand:
 
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "analyze", "--code", "/nonexistent.code")
+        assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "type=monomial",  # no m
+            "m=4",  # no type
+            "m=four type=monomial",
+            "m=4.5 type=linear",
+            "m=0 type=monomial",
+            "m=17 type=linear",  # one past the largest supported field
+        ],
+    )
+    def test_malformed_header_exits_2(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.code"
+        path.write_text(f"{header}\n1\n")
+        code, _, err = invoke(capsys, "analyze", "--code", str(path))
+        assert code == EXIT_INVALID
+        assert err.startswith("error: ")
+
+    def test_linear_row_beyond_length_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.code"
+        path.write_text("m=2 type=linear\n1f\n")
+        code, _, _ = invoke(capsys, "analyze", "--code", str(path))
         assert code == EXIT_INVALID
 
 
@@ -148,6 +173,17 @@ class TestSimulateCommand:
         invoke(capsys, "construct", "--m", "3", "--t", "2", "--k", "4", "--out", str(out))
         code, _, _ = invoke(capsys, "simulate", "--code", str(out), "--channel", "laplace:1")
         assert code == EXIT_INVALID
+
+    def test_workers_beyond_cpu_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "c.code"
+        invoke(capsys, "construct", "--m", "3", "--t", "2", "--k", "4", "--out", str(out))
+        for workers in (0, (os.cpu_count() or 1) + 1):
+            code, _, err = invoke(
+                capsys, "simulate", "--code", str(out), "--channel", "bec:0.3",
+                "--max-frames", "64", "--workers", str(workers),
+            )
+            assert code == EXIT_INVALID
+            assert "workers" in err
 
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = invoke(capsys, "simulate", "--frobnicate", "1")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symcalc.bitmath import BitMatrix, BitVec, GF2mField, rank
+from symcalc.bitmath import BitMatrix, BitVec, GF2mField, kernel_basis, rank
 from symcalc.codes import (
     FrozenSpec,
     LinearCode,
@@ -184,6 +184,28 @@ class TestEbch:
         infos = ((np.arange(1 << code.k)[:, None] >> np.arange(code.k)) & 1).astype(np.uint8)
         weights = ((infos @ gen) & 1).sum(axis=1)
         assert weights[weights > 0].min() >= delta + 1
+
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_matches_power_by_power_construction(self, m):
+        fld = GF2mField(m)
+        n = 1 << m
+        for delta in sorted({2, 3, 4, 5, 6, 7, 11, 31, n - 1} & set(range(2, min(n, 32)))):
+            # frozen construction: one fld.pow call per element and power
+            rows = [(1 << n) - 1]
+            for j in range(1, delta - 1):
+                powers = [fld.pow(x, j) for x in range(n)]
+                for b in range(m):
+                    rows.append(sum(1 << x for x, e in enumerate(powers) if (e >> b) & 1))
+            expected = kernel_basis(BitMatrix.from_rows(rows, n))
+            assert ebch_code(fld, delta).generator == expected, (m, delta)
+
+    def test_field_powers_match_pow(self):
+        fld = GF2mField(5)
+        table = fld.powers([1, 2, 7, 31, 40])
+        for row, e in zip(table, [1, 2, 7, 31, 40]):
+            assert row.tolist() == [fld.pow(x, e) for x in range(32)]
+        with pytest.raises(ValueError):
+            fld.powers([0])
 
     def test_even_weight_code_for_delta_two(self):
         code = ebch_code(GF2mField(4), 2)

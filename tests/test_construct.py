@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import symcalc.construct as construct_mod
 from symcalc.bounds import partially_symmetric_lb, representable_dimensions
 from symcalc.calculus import (
     directional_derivative_code,
@@ -175,6 +176,15 @@ class TestConstructGeneral:
         # t=2 with k >= 2^m - 2^{m-2} keeps a degree-(m-1) monomial
         code = construct_partially_symmetric(ConstructionRequest(m=4, t=2, k=13))
         assert monomial_min_distance(code) <= 2
+
+    def test_low_distance_warning_once_per_cause(self, caplog):
+        construct_mod._warn_low_distance.cache_clear()
+        with caplog.at_level("WARNING", logger="symcalc.construct"):
+            for _ in range(3):
+                construct_partially_symmetric(ConstructionRequest(m=8, t=5, k=250))
+        records = [r for r in caplog.records if "minimum distance" in r.getMessage()]
+        assert len(records) == 1
+        assert "m=8 t=5 k=250 has minimum distance 2" in records[0].getMessage()
 
     def test_t2_with_flow_residual(self):
         # residual path: t=4 k=7 ends with a balanced removal of 4 of 6 pairs

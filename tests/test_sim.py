@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -88,7 +89,9 @@ class TestSimulateFer:
             b.ml_certified,
         )
 
-    def test_worker_count_is_immaterial(self):
+    def test_worker_count_is_immaterial(self, monkeypatch):
+        # workers are bounded by the CPU count; four must run on any machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         cfg1 = SimConfig(max_errors=60, max_frames=2048, seed=3, batch=128, workers=1)
         cfg4 = SimConfig(max_errors=60, max_frames=2048, seed=3, batch=128, workers=4)
         a = simulate_fer(CODE_16_8, BiAwgn(1.0), cfg1)
@@ -203,6 +206,15 @@ class TestLength256:
             sd = math.sqrt(max(hi, 1e-9) * (1 - hi) / cfg.max_frames)
             assert lo <= hi + 3 * sd
         assert fers[2] < fers[0]
+
+
+class TestSimConfig:
+    def test_workers_bounded_by_cpu_count(self):
+        cpus = os.cpu_count() or 1
+        assert SimConfig(workers=cpus).workers == cpus
+        for workers in (0, -1, cpus + 1):
+            with pytest.raises(ValueError, match="workers"):
+                SimConfig(workers=workers)
 
 
 class TestFerCurve:
