@@ -42,11 +42,9 @@ from .codes import (
 )
 from .construct import (
     ConstructionRequest,
-    FlowNetwork,
     NonRepresentableError,
     biregular_subgraph,
     construct_partially_symmetric,
-    max_flow,
 )
 from .decode import (
     DecodeResult,

@@ -130,25 +130,14 @@ def _branch_error_probs(m: int, channel: ChannelModel, rate: float) -> np.ndarra
     """Bit-error probability of every transform branch; the recursion does not
     depend on the layer order, only the mask-to-branch gather does.  Branch q
     takes the degraded split at level ell iff bit ell of q is set, highest
-    level first."""
+    level first, so it is decode position n-1-q."""
     if isinstance(channel, Bec):
-        state = np.array([channel.eps], dtype=np.float64)
-        split = lambda z: (2 * z - z * z, z * z)
-        finish = lambda z: z / 2.0  # an erasure resolves to a coin flip
-    elif isinstance(channel, BiAwgn):
+        # an erasure resolves to a coin flip
+        return bec_density_evolution(m, channel.eps)[::-1] / 2
+    if isinstance(channel, BiAwgn):
         sigma = noise_sigma(channel.ebn0_db, rate)
-        state = np.array([2.0 / sigma**2], dtype=np.float64)
-        split = _ga_split
-        finish = _ga_error_probs
-    else:
-        raise TypeError(f"unsupported channel {channel!r}")
-    for _ in range(m):
-        out = np.empty(2 * state.size, dtype=np.float64)
-        minus, plus = split(state)
-        out[0::2] = plus   # appended index bit 0: upgraded branch
-        out[1::2] = minus  # appended index bit 1: degraded branch
-        state = out
-    return finish(state)
+        return _ga_error_probs(ga_llr_means(m, 2.0 / sigma**2)[::-1])
+    raise TypeError(f"unsupported channel {channel!r}")
 
 
 def _branch_positions(masks: np.ndarray, perms: np.ndarray) -> np.ndarray:

@@ -158,7 +158,6 @@ def _cmd_simulate(args) -> int:
         perm_count=args.P,
         min_dist=args.min_dist,
         batch=args.batch,
-        workers=args.workers,
         all_zero=args.all_zero,
         min_sum=args.min_sum,
     )
@@ -229,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-frames", type=int, default=1_000_000, dest="max_frames")
     p.add_argument("--min-dist", type=int, default=5, dest="min_dist")
     p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--workers", type=int, default=1, help="threads, 1..CPU count")
     p.add_argument("--all-zero", action="store_true", dest="all_zero")
     p.add_argument("--min-sum", action="store_true", dest="min_sum")
     p.add_argument("--out", default=None)

@@ -12,10 +12,9 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .codes import MonomialCode
 
@@ -64,100 +63,7 @@ class RemovalStep:
 
 
 # ---------------------------------------------------------------------------
-# max flow
-
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    """A small integral-capacity flow network on nodes 0..num_nodes-1."""
-
-    num_nodes: int
-    source: int
-    sink: int
-    edges: tuple[tuple[int, int, int], ...]  # (u, v, capacity)
-
-    def __post_init__(self):
-        for u, v, c in self.edges:
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                raise ValueError("edge endpoint out of range")
-            if c < 0:
-                raise ValueError("negative capacity")
-
-
-def max_flow(net: FlowNetwork) -> tuple[int, list[int]]:
-    """Maximum integral s-t flow (shortest augmenting paths).
-
-    Returns the flow value and per-edge flows aligned with net.edges.
-    """
-    n = net.num_nodes
-    cap = [[0] * n for _ in range(n)]
-    for u, v, c in net.edges:
-        cap[u][v] += c
-    residual = [row[:] for row in cap]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in net.edges:
-        if v not in adj[u]:
-            adj[u].append(v)
-        if u not in adj[v]:
-            adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-
-    value = 0
-    while True:
-        parent = [-1] * n
-        parent[net.source] = net.source
-        queue = deque([net.source])
-        while queue and parent[net.sink] == -1:
-            u = queue.popleft()
-            for v in adj[u]:
-                if parent[v] == -1 and residual[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[net.sink] == -1:
-            break
-        bottleneck = None
-        v = net.sink
-        while v != net.source:
-            u = parent[v]
-            bottleneck = residual[u][v] if bottleneck is None else min(bottleneck, residual[u][v])
-            v = u
-        v = net.sink
-        while v != net.source:
-            u = parent[v]
-            residual[u][v] -= bottleneck
-            residual[v][u] += bottleneck
-            v = u
-        value += bottleneck
-
-    flows = []
-    remaining = [[cap[u][v] - residual[u][v] for v in range(n)] for u in range(n)]
-    for u, v, c in net.edges:
-        f = max(0, min(c, remaining[u][v]))
-        remaining[u][v] -= f
-        flows.append(f)
-    return value, flows
-
-
-# ---------------------------------------------------------------------------
 # balanced subgraph selection
-
-
-def biregular_network(t: int, candidates: Sequence[int], per_variable: int, per_candidate: int) -> FlowNetwork:
-    """Variables-to-candidates network whose saturating flow certifies feasibility."""
-    # node ids: 0 = source, 1..t = target variables, then candidates, last = sink
-    source = 0
-    sink = 1 + t + len(candidates)
-    edges: list[tuple[int, int, int]] = []
-    for i in range(t):
-        edges.append((source, 1 + i, per_variable))
-    for ci, cand in enumerate(candidates):
-        node = 1 + t + ci
-        for i in range(t):
-            if (cand >> i) & 1:
-                edges.append((1 + i, node, 1))
-        edges.append((node, sink, per_candidate))
-    return FlowNetwork(sink + 1, source, sink, tuple(edges))
 
 
 def _select_balanced(t: int, l: int, count: int) -> list[int]:
@@ -212,8 +118,7 @@ def biregular_subgraph(t: int, l: int, keep_count: int, candidates: Iterable[int
     variables appears in exactly keep_count*l/t of them.
 
     The candidates must carry all C(t, l) weight-l target parts (a shared
-    anchor outside the targets is allowed).  Feasibility is certified by a
-    maximum flow before the balanced selection is extracted.
+    anchor outside the targets is allowed).
     """
     if not 1 <= l <= t:
         raise ValueError("need 1 <= l <= t")
@@ -228,17 +133,6 @@ def biregular_subgraph(t: int, l: int, keep_count: int, candidates: Iterable[int
         raise ValueError("keep_count out of range")
     if (keep_count * l) % t:
         raise ValueError(f"keep_count*l must be divisible by t (got {keep_count}*{l} vs t={t})")
-    if keep_count == 0:
-        return set()
-
-    per_var = keep_count * l // t
-    net = biregular_network(t, parts, per_var, l)
-    value, _ = max_flow(net)
-    if value < keep_count * l:
-        raise ValueError(
-            f"infeasible: max flow {value} cannot saturate the {keep_count * l} required edges"
-        )
-
     kept_parts = set(_select_balanced(t, l, keep_count))
     return {c for c, p in zip(cands, parts) if p in kept_parts}
 

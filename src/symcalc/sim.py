@@ -2,17 +2,15 @@
 
 Every frame draws from its own counter-based substream, Philox keyed by
 (seed, frame index): the info bits come first, then the channel noise.
-Results are therefore bit-identical for any batch size, evaluation order, or
-worker count.  Error counting compares codewords, and a decoding error whose
-metric ties the transmitted codeword is reported separately as a tie.
+Results are therefore bit-identical for any batch size or evaluation order.
+Error counting compares codewords, and a decoding error whose metric ties the
+transmitted codeword is reported separately as a tie.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -103,7 +101,6 @@ class SimConfig:
     perms: tuple[tuple[int, ...], ...] | None = None
     min_dist: int = 5
     batch: int = 256
-    workers: int = 1
     all_zero: bool = False
     min_sum: bool = False
 
@@ -112,9 +109,6 @@ class SimConfig:
             raise ValueError("limits must be positive")
         if self.decoder not in ("sc", "scl", "perm", "ml"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
-        cpus = os.cpu_count() or 1
-        if not 1 <= self.workers <= cpus:
-            raise ValueError(f"workers must be in 1..{cpus} (the CPU count)")
 
     def label(self) -> str:
         if self.decoder == "scl":
@@ -149,10 +143,13 @@ def wilson_interval(errors: int, frames: int, z: float = 1.959963984540054) -> t
     return max(0.0, center - half), min(1.0, center + half)
 
 
+_SIGNS = np.array([1.0, -1.0])  # BPSK symbol of bit 0 and bit 1
+
+
 def _batch_correlations(codewords: np.ndarray, llrs: np.ndarray) -> np.ndarray:
     """Correlations of per-frame candidate lists (B, P, n) against (B, n) LLRs."""
     lam = np.clip(llrs, -_dec.LLR_CLAMP, _dec.LLR_CLAMP)
-    return np.einsum("bpn,bn->bp", 1.0 - 2.0 * codewords.astype(np.float64), lam)
+    return np.einsum("bpn,bn->bp", _SIGNS[codewords], lam)
 
 
 def _closest(codewords: np.ndarray, llrs: np.ndarray) -> np.ndarray:
@@ -230,59 +227,30 @@ def simulate_fer(
     """Estimate the frame error rate until an error or frame budget is hit.
 
     The stopping rule is evaluated at batch boundaries; per-frame substreams
-    make the outcome independent of batch size and worker count.
+    make the outcome independent of batch size.
     """
     start = time.perf_counter()
+    if config.decoder == "ml" and code.k > _dec.ML_MAX_DIMENSION:
+        raise ValueError(f"k={code.k} exceeds the brute-force limit {_dec.ML_MAX_DIMENSION}")
     config = _resolve_perms(code, channel, config)
     rate = code.k / code.n
     totals = _BatchCounts()
 
-    def boundaries():
-        lo = 0
-        while lo < config.max_frames:
-            hi = min(lo + config.batch, config.max_frames)
-            yield lo, hi
-            lo = hi
-
-    def work(span):
-        return _run_batch(code, channel, config, layer_perm, rate, *span)
-
     stop_reason = "max_frames"
-    if config.workers <= 1:
-        for span in boundaries():
-            counts = work(span)
-            totals.frames += counts.frames
-            totals.errors += counts.errors
-            totals.ties += counts.ties
-            totals.certified += counts.certified
-            if totals.errors >= config.max_errors:
-                stop_reason = "max_errors"
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            pending = []
-            spans = iter(boundaries())
-            done = False
-            while not done:
-                while len(pending) < config.workers:
-                    span = next(spans, None)
-                    if span is None:
-                        break
-                    pending.append(pool.submit(work, span))
-                if not pending:
-                    break
-                counts = pending.pop(0).result()
-                totals.frames += counts.frames
-                totals.errors += counts.errors
-                totals.ties += counts.ties
-                totals.certified += counts.certified
-                if totals.errors >= config.max_errors:
-                    stop_reason = "max_errors"
-                    for fut in pending:
-                        fut.cancel()
-                    done = True
+    lo = 0
+    while lo < config.max_frames:
+        hi = min(lo + config.batch, config.max_frames)
+        counts = _run_batch(code, channel, config, layer_perm, rate, lo, hi)
+        totals.frames += counts.frames
+        totals.errors += counts.errors
+        totals.ties += counts.ties
+        totals.certified += counts.certified
+        if totals.errors >= config.max_errors:
+            stop_reason = "max_errors"
+            break
+        lo = hi
 
-    lo, hi = wilson_interval(totals.errors, totals.frames)
+    wilson_lo, wilson_hi = wilson_interval(totals.errors, totals.frames)
     return SimResult(
         frames=totals.frames,
         errors=totals.errors,
@@ -292,8 +260,8 @@ def simulate_fer(
         seed=config.seed,
         stop_reason=stop_reason,
         wall_seconds=time.perf_counter() - start,
-        wilson_lo=lo,
-        wilson_hi=hi,
+        wilson_lo=wilson_lo,
+        wilson_hi=wilson_hi,
     )
 
 

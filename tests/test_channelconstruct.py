@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symcalc.channelconstruct import (
+    _ga_error_probs,
     bec_density_evolution,
     bec_frozen_set,
     ga_frozen_set,
@@ -15,7 +16,7 @@ from symcalc.channelconstruct import (
 )
 from symcalc.codes import FrozenSpec, MonomialCode, polar_code
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
-from symcalc.sim import Bec, BiAwgn
+from symcalc.sim import Bec, BiAwgn, noise_sigma
 
 # exact values of the m=3, eps=0.5 recursion
 GOLDEN_Z = [0.99609375, 0.87890625, 0.80859375, 0.31640625,
@@ -41,15 +42,9 @@ class TestBecDensityEvolution:
     @pytest.mark.parametrize("eps", [0.1, 0.37, 0.5, 0.9])
     def test_split_preserves_sum(self, eps):
         # each split satisfies z_minus + z_plus = 2z
-        z = np.array([eps])
-        for _ in range(6):
-            nxt = bec_density_evolution(1, 0.0)  # shape only
-            minus = 2 * z - z * z
-            plus = z * z
-            assert np.allclose(minus + plus, 2 * z)
-            merged = np.empty(2 * z.size)
-            merged[0::2], merged[1::2] = minus, plus
-            z = merged
+        for j in range(6):
+            z = bec_density_evolution(j + 1, eps)
+            assert np.allclose(z[0::2] + z[1::2], 2 * bec_density_evolution(j, eps))
 
     def test_matches_exact_fractions(self):
         from fractions import Fraction
@@ -101,6 +96,16 @@ class TestMaskErrorProbs:
         pe = mask_error_probs(3, Bec(0.5))
         for v in range(8):
             assert pe[v] == pytest.approx(z[7 - v] / 2)
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 6, 8])
+    def test_identity_layer_order_is_position_complement_awgn(self, m):
+        # the GA twin: mask v reads position n-1-v of the mean-LLR recursion
+        n = 1 << m
+        for db, rate in itertools.product((-1.0, 0.0, 2.0, 5.0), (0.25, 0.5, 0.9)):
+            sigma = noise_sigma(db, rate)
+            by_position = _ga_error_probs(ga_llr_means(m, 2.0 / sigma**2))
+            pe = mask_error_probs(m, BiAwgn(db), rate=rate)
+            assert np.array_equal(pe, by_position[n - 1 - np.arange(n)])
 
     def test_rate_one_estimate_permutation_invariant(self):
         code = MonomialCode(3, frozenset(range(8)))

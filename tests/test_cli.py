@@ -1,7 +1,12 @@
+import contextlib
+import io
 import math
-import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcalc.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, run
 from symcalc.codes import MonomialCode, load_code
@@ -174,17 +179,66 @@ class TestSimulateCommand:
         code, _, _ = invoke(capsys, "simulate", "--code", str(out), "--channel", "laplace:1")
         assert code == EXIT_INVALID
 
-    def test_workers_beyond_cpu_count_exits_2(self, tmp_path, capsys):
+    def test_unknown_flag_rejected(self, tmp_path, capsys):
         out = tmp_path / "c.code"
         invoke(capsys, "construct", "--m", "3", "--t", "2", "--k", "4", "--out", str(out))
-        for workers in (0, (os.cpu_count() or 1) + 1):
+        for flag in ("--frobnicate", "--workers"):
             code, _, err = invoke(
                 capsys, "simulate", "--code", str(out), "--channel", "bec:0.3",
-                "--max-frames", "64", "--workers", str(workers),
+                "--max-frames", "64", flag, "1",
             )
             assert code == EXIT_INVALID
-            assert "workers" in err
+            assert f"unrecognized arguments: {flag}" in err
 
-    def test_unknown_flag_rejected(self, capsys):
-        code, _, _ = invoke(capsys, "simulate", "--frobnicate", "1")
-        assert code == EXIT_INVALID
+
+def _rejects(text: str, base: int) -> bool:
+    try:
+        int(text, base)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def malformed_code_files(draw):
+    """A code file text with at least one defect: a missing header key, a
+    non-integer or out-of-range m, a row that is not hex, or a row wider than
+    the code length (a mask of 2^m or more for a monomial code)."""
+    m = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["monomial", "linear"]))
+    fields = {"m": str(m), "type": kind}
+    rows = [format(v, "x") for v in draw(st.lists(st.integers(0, (1 << min(m, 6)) - 1), max_size=4))]
+    defect = draw(st.sampled_from(["no_m", "no_type", "m_not_int", "m_out_of_range", "bad_hex", "wide_row"]))
+    if defect in ("no_m", "no_type"):
+        del fields[defect[3:]]
+    elif defect == "m_not_int":
+        fields["m"] = draw(st.text("0123456789abx.+-_=", max_size=6).filter(lambda v: _rejects(v, 10)))
+    elif defect == "m_out_of_range":
+        fields["m"] = str(draw(st.integers(-3, 0) | st.just(17)))
+    elif defect == "bad_hex":
+        bad = draw(st.text("0123456789abcdefgxz.-_ ", min_size=1, max_size=6).filter(
+            lambda r: r.strip() and _rejects(r, 16)))
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    else:
+        m = draw(st.integers(1, 8))
+        fields["m"] = str(m)
+        limit = 1 << (1 << m) if kind == "linear" else 1 << m
+        wide = draw(st.integers(limit, limit + 64) | st.just(-1))
+        rows.insert(draw(st.integers(0, len(rows))), format(wide, "x"))
+    tokens = [f"{key}={value}" for key, value in fields.items()]
+    tokens += draw(st.lists(st.sampled_from(["n=16", "k=8", "comment=x", "flag"]), max_size=2))
+    header = " ".join(draw(st.permutations(tokens)))
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_code_files())
+def test_malformed_code_file_exits_2(text):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.code"
+        path.write_text(text)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["analyze", "--code", str(path)])
+    assert code == EXIT_INVALID
+    assert err.getvalue().startswith("error: ")

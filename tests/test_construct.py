@@ -13,14 +13,11 @@ from symcalc.calculus import (
 from symcalc.codes import monomial_min_distance, monomial_to_linear, rm_code
 from symcalc.construct import (
     ConstructionRequest,
-    FlowNetwork,
     NonRepresentableError,
     achievable_dimensions,
-    biregular_network,
     biregular_subgraph,
     construct_partially_symmetric,
     construct_partially_symmetric_trace,
-    max_flow,
 )
 
 WORKED_SET = frozenset({0b0000, 0b0001, 0b0010, 0b0100, 0b1000, 0b1001, 0b1010, 0b1100})
@@ -31,39 +28,6 @@ def block_swap_perm(m, i, j):
     bi = (x >> i) & 1
     bj = (x >> j) & 1
     return x ^ (bi << i) ^ (bi << j) ^ (bj << j) ^ (bj << i)
-
-
-class TestMaxFlow:
-    def test_single_edge(self):
-        net = FlowNetwork(2, 0, 1, ((0, 1, 5),))
-        value, flows = max_flow(net)
-        assert value == 5 and flows == [5]
-
-    def test_disconnected_sink(self):
-        net = FlowNetwork(3, 0, 2, ((0, 1, 3),))
-        assert max_flow(net)[0] == 0
-
-    def test_degree_two_selection_network(self):
-        # 4 variables, all 6 pairs, unit source capacities: flow 4 saturates
-        parts = [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
-        net = biregular_network(4, parts, per_variable=1, per_candidate=2)
-        value, flows = max_flow(net)
-        assert value == 4
-        # conservation at every inner node
-        inflow = [0] * net.num_nodes
-        outflow = [0] * net.num_nodes
-        for (u, v, _), f in zip(net.edges, flows):
-            outflow[u] += f
-            inflow[v] += f
-        for node in range(net.num_nodes):
-            if node not in (net.source, net.sink):
-                assert inflow[node] == outflow[node]
-
-    def test_capacity_respected(self):
-        net = FlowNetwork(4, 0, 3, ((0, 1, 2), (0, 2, 2), (1, 3, 1), (2, 3, 5)))
-        value, flows = max_flow(net)
-        assert value == 3
-        assert all(f <= c for (_, _, c), f in zip(net.edges, flows))
 
 
 class TestBiregularSubgraph:

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -89,15 +88,6 @@ class TestSimulateFer:
             b.ml_certified,
         )
 
-    def test_worker_count_is_immaterial(self, monkeypatch):
-        # workers are bounded by the CPU count; four must run on any machine
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        cfg1 = SimConfig(max_errors=60, max_frames=2048, seed=3, batch=128, workers=1)
-        cfg4 = SimConfig(max_errors=60, max_frames=2048, seed=3, batch=128, workers=4)
-        a = simulate_fer(CODE_16_8, BiAwgn(1.0), cfg1)
-        b = simulate_fer(CODE_16_8, BiAwgn(1.0), cfg4)
-        assert (a.frames, a.errors, a.ties) == (b.frames, b.errors, b.ties)
-
     def test_error_stop_at_batch_boundary(self):
         cfg = SimConfig(max_errors=10, max_frames=100_000, seed=1, batch=64)
         res = simulate_fer(CODE_16_8, BiAwgn(0.0), cfg)
@@ -173,6 +163,16 @@ class TestSimulateFer:
         res = simulate_fer(CODE_16_8, BiAwgn(2.0), cfg)
         assert res.ml_certified == 1.0
 
+    def test_ml_beyond_dimension_limit_rejected_before_any_frame(self, monkeypatch):
+        import symcalc.sim as sim_mod
+
+        calls = []
+        monkeypatch.setattr(sim_mod, "frame_rng", lambda *key: calls.append(key) or frame_rng(*key))
+        code = MonomialCode(5, frozenset(range(21)))
+        with pytest.raises(ValueError, match="k=21"):
+            simulate_fer(code, BiAwgn(2.0), SimConfig(max_frames=64, decoder="ml"))
+        assert calls == []
+
 
 class TestLength256:
     @pytest.fixture(scope="class")
@@ -206,15 +206,6 @@ class TestLength256:
             sd = math.sqrt(max(hi, 1e-9) * (1 - hi) / cfg.max_frames)
             assert lo <= hi + 3 * sd
         assert fers[2] < fers[0]
-
-
-class TestSimConfig:
-    def test_workers_bounded_by_cpu_count(self):
-        cpus = os.cpu_count() or 1
-        assert SimConfig(workers=cpus).workers == cpus
-        for workers in (0, -1, cpus + 1):
-            with pytest.raises(ValueError, match="workers"):
-                SimConfig(workers=workers)
 
 
 class TestFerCurve:
