@@ -10,7 +10,6 @@ from .bounds import (
     partially_symmetric_lb,
 )
 from .calculus import (
-    Direction,
     SymmetryProfile,
     derivative_subcode_dim,
     directional_derivative_code,
@@ -31,8 +30,6 @@ from .codes import (
     Monomial,
     MonomialCode,
     ebch_code,
-    encode,
-    evaluate_monomial,
     load_code,
     monomial_min_distance,
     monomial_to_linear,

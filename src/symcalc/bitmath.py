@@ -112,17 +112,6 @@ class BitMatrix:
         return cls(data, cols)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(np.zeros((rows, _n_words(cols)), dtype=np.uint64), cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        data = np.zeros((n, _n_words(n)), dtype=np.uint64)
-        for i in range(n):
-            data[i, i // _WORD] = np.uint64(1) << np.uint64(i % _WORD)
-        return cls(data, n)
-
-    @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitMatrix":
         """Pack a (rows, cols) 0/1 array."""
         arr = np.asarray(arr, dtype=np.uint8) & 1
@@ -132,9 +121,6 @@ class BitMatrix:
         if packed.shape[1] != nw * 8:
             packed = np.pad(packed, ((0, 0), (0, nw * 8 - packed.shape[1])))
         return cls(np.ascontiguousarray(packed).view("<u8"), cols)
-
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, _words_to_int(self._data[i]))
 
     def head(self, count: int) -> "BitMatrix":
         """The first `count` rows, sharing this matrix's frozen words."""
@@ -292,16 +278,6 @@ def kernel_basis(mat: BitMatrix) -> BitMatrix:
     return BitMatrix.from_array(out)
 
 
-def matmul_gf2(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """GF(2) product a @ b (a.cols must equal b.rows)."""
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions disagree")
-    aa = a.to_array().astype(np.uint8)
-    bb = b.to_array().astype(np.uint8)
-    prod = (aa.astype(np.uint32) @ bb.astype(np.uint32)) & 1
-    return BitMatrix.from_array(prod.astype(np.uint8))
-
-
 # ---------------------------------------------------------------------------
 # GF(2^m)
 
@@ -403,15 +379,6 @@ class GF2mField:
         out = np.zeros((exps.size, self.size), dtype=np.int64)
         out[:, 1:] = antilog[(log[1:] * exps[:, None]) % order]
         return out
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.pow(a, self.size - 2)
-
-    def bits(self, a: int) -> list[int]:
-        """Coefficients of `a` in the polynomial basis, degree 0 first."""
-        return [(a >> i) & 1 for i in range(self.m)]
 
 
 def gf2m_mul(fld: GF2mField, a: int, b: int) -> int:

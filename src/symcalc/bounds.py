@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .codes import check_m
+
 
 @dataclass(frozen=True)
 class SymmetricDecomposition:
@@ -80,6 +82,7 @@ def fully_symmetric_lb(m: int, k: int) -> tuple[int, SymmetricDecomposition]:
 
 def representable_dimensions(m: int, t: int) -> list[int]:
     """All k for which the t-symmetric bound holds with an exact decomposition."""
+    check_m(m)
     out: set[int] = set()
     for l in range(1, t + 2):
         base = _base(m, t, l)
@@ -134,6 +137,7 @@ def bound_curve(
     explicit k_range is evaluated with the floor policy and per-row exactness
     flags.
     """
+    check_m(m)
     if t in (None, "full"):
         t = m
     if not isinstance(t, int):

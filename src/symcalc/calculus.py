@@ -18,17 +18,6 @@ from .codes import LinearCode, Monomial, MonomialCode, monomial_to_linear
 
 
 @dataclass(frozen=True)
-class Direction:
-    """A nonzero translation direction in F_2^m."""
-
-    b: int
-
-    def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("direction must be a nonzero mask")
-
-
-@dataclass(frozen=True)
 class SymmetryProfile:
     """Dimensions of the m coordinate-direction derivatives of a code.
 
@@ -73,10 +62,8 @@ def _coset_representatives(m: int, p: int) -> np.ndarray:
     return x[((x >> p) & 1) == 0]
 
 
-def directional_derivative_code(code: LinearCode, b: int | Direction) -> LinearCode:
+def directional_derivative_code(code: LinearCode, b: int) -> LinearCode:
     """The length-2^(m-1) code spanned by f(x) + f(x+b) on coset representatives."""
-    if isinstance(b, Direction):
-        b = b.b
     m = code.m
     if not 0 < b < (1 << m):
         raise ValueError("direction must be a nonzero m-bit mask")
@@ -112,11 +99,6 @@ def is_invariant(code: LinearCode, perm: Sequence[int] | np.ndarray) -> bool:
         BitMatrix.from_array(code.generator_array()[:, perm]), validate=False
     )
     return code.same_code(permuted)
-
-
-def translation_permutation(m: int, b: int) -> np.ndarray:
-    """The coordinate permutation x -> x + b."""
-    return _translation_index(m, b).copy()
 
 
 def derivative_subcode_dim(code: LinearCode, i: int) -> int:

@@ -10,20 +10,20 @@ branch for every set bit of v, most significant processed variable first.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import erfc
 
-from .codes import FrozenSpec, MonomialCode, polar_code
-from .decode import resolve_layer_order
-from .sim import Bec, BiAwgn, ChannelModel, noise_sigma
+from .codes import FrozenSpec, MonomialCode, check_m, polar_code
+from .decode import branch_positions, resolve_layer_order
+from .sim import Bec, BiAwgn, ChannelModel, check_ebn0, noise_sigma
 
 
 def bec_density_evolution(m: int, eps: float) -> np.ndarray:
     """Exact per-position erasure probabilities after m splitting levels."""
+    check_m(m)
     if not 0 <= eps <= 1:
         raise ValueError("erasure probability must lie in [0, 1]")
     z = np.array([eps], dtype=np.float64)
@@ -87,6 +87,7 @@ def _ga_split(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def ga_llr_means(m: int, mu0: float) -> np.ndarray:
     """Per-position mean LLRs under the Gaussian approximation."""
+    check_m(m)
     mu = np.array([mu0], dtype=np.float64)
     for _ in range(m):
         out = np.empty(2 * mu.size, dtype=np.float64)
@@ -101,9 +102,11 @@ def _ga_error_probs(mu: np.ndarray) -> np.ndarray:
 
 def ga_frozen_set(m: int, k: int, ebn0_db: float, code_rate: float | None = None) -> FrozenSpec:
     """Freeze the 2^m - k least reliable positions for a BI-AWGN channel."""
+    check_m(m)
     n = 1 << m
     if not 0 < k <= n:
         raise ValueError("need 0 < k <= 2^m")
+    check_ebn0(ebn0_db)
     rate = code_rate if code_rate is not None else k / n
     sigma = noise_sigma(ebn0_db, rate)
     mu = ga_llr_means(m, 2.0 / sigma**2)
@@ -114,6 +117,7 @@ def ga_frozen_set(m: int, k: int, ebn0_db: float, code_rate: float | None = None
 
 def bec_frozen_set(m: int, k: int, eps: float) -> FrozenSpec:
     """Freeze the 2^m - k most erasure-prone positions of a BEC."""
+    check_m(m)
     n = 1 << m
     if not 0 < k <= n:
         raise ValueError("need 0 < k <= 2^m")
@@ -140,15 +144,6 @@ def _branch_error_probs(m: int, channel: ChannelModel, rate: float) -> np.ndarra
     raise TypeError(f"unsupported channel {channel!r}")
 
 
-def _branch_positions(masks: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """(P, len(masks)) branch indices: perm[m-1] is the variable split first."""
-    m = perms.shape[1]
-    pos = np.zeros((perms.shape[0], masks.size), dtype=np.int64)
-    for level in range(m):
-        pos |= ((masks[None, :] >> perms[:, level, None]) & 1) << level
-    return pos
-
-
 def mask_error_probs(
     m: int, channel: ChannelModel, perm: Sequence[int] | None = None, rate: float = 0.5
 ) -> np.ndarray:
@@ -159,7 +154,7 @@ def mask_error_probs(
     """
     perm = resolve_layer_order(m, perm)
     branch = _branch_error_probs(m, channel, rate)
-    pos = _branch_positions(np.arange(1 << m), np.array([perm]))[0]
+    pos = branch_positions(np.arange(1 << m), np.array([perm]))[0]
     return branch[pos]
 
 
@@ -198,15 +193,14 @@ def select_permutations(
     p_count: int,
     channel: ChannelModel,
     min_dist: int = 5,
-    mc_frames: int = 0,
     seed: int = 0,
 ) -> PermutationSelection:
     """Rank layer permutations by estimated SC error and pick P spread-out ones.
 
-    Candidates are sorted by the union-bound estimate (or a seeded Monte
-    Carlo run when mc_frames > 0) and kept greedily so that every retained
-    pair differs in at least min_dist positions; the best candidate is always
-    retained.
+    Candidates are sorted by the union-bound estimate and kept greedily so
+    that every retained pair differs in at least min_dist positions; the best
+    candidate is always retained.  Beyond m = 8 the candidates are a seeded
+    sample of the m! orders.
     """
     if isinstance(code, FrozenSpec):
         code = polar_code(code)
@@ -223,15 +217,10 @@ def select_permutations(
     else:
         candidates = [tuple(p) for p in itertools.permutations(range(m))]
 
-    if mc_frames > 0:
-        scores = [_mc_score(code, perm, channel, mc_frames, seed) for perm in candidates]
-    else:
-        branch = _branch_error_probs(m, channel, code.k / code.n)
-        log_ok = np.log1p(-np.minimum(branch, 1.0 - 1e-300))
-        pos = _branch_positions(
-            np.array(code.sorted_masks()), np.array(candidates, dtype=np.int64)
-        )
-        scores = (-np.expm1(log_ok[pos].sum(axis=1))).tolist()
+    branch = _branch_error_probs(m, channel, code.k / code.n)
+    log_ok = np.log1p(-np.minimum(branch, 1.0 - 1e-300))
+    pos = branch_positions(np.array(code.sorted_masks()), np.array(candidates, dtype=np.int64))
+    scores = (-np.expm1(log_ok[pos].sum(axis=1))).tolist()
 
     ranked = sorted(zip(scores, candidates))
     kept: list[tuple[int, ...]] = []
@@ -248,11 +237,3 @@ def select_permutations(
         complete=len(kept) == p_count,
         sampled=sampled,
     )
-
-
-def _mc_score(code, perm, channel, frames, seed) -> float:
-    from . import sim as _sim
-
-    cfg = _sim.SimConfig(max_errors=frames + 1, max_frames=frames, seed=seed, decoder="sc")
-    result = _sim.simulate_fer(code, channel, cfg, layer_perm=perm)
-    return result.fer

@@ -18,7 +18,7 @@ from . import bounds as _bounds
 from . import channelconstruct as _cc
 from . import sim as _sim
 from .calculus import symmetry_profile
-from .codes import MonomialCode, load_code, monomial_min_distance, polar_code, save_code
+from .codes import MonomialCode, check_m, load_code, monomial_min_distance, polar_code, save_code
 from .construct import ConstructionRequest, NonRepresentableError, construct_partially_symmetric
 
 logger = logging.getLogger("symcalc")
@@ -89,10 +89,15 @@ def _cmd_bounds(args) -> int:
         m = args.m
     if m is None:
         raise ValueError("one of --m or --n is required")
+    check_m(m)
     t = "full" if args.t == "full" else int(args.t)
     k_range = None
     if args.k_min is not None or args.k_max is not None:
-        k_range = range(args.k_min or 1, (args.k_max or (1 << m)) + 1)
+        k_min = 1 if args.k_min is None else args.k_min
+        k_max = (1 << m) if args.k_max is None else args.k_max
+        if not 0 < k_min <= k_max <= 1 << m:
+            raise ValueError(f"need 0 < --k-min <= --k-max <= {1 << m}")
+        k_range = range(k_min, k_max + 1)
     rows = _bounds.bound_curve(m, t, k_range)
     lines = ["k,rate,deriv_rate,exact"]
     lines.extend(
@@ -125,7 +130,6 @@ def _cmd_perms(args) -> int:
         args.P,
         channel,
         min_dist=args.min_dist,
-        mc_frames=args.mc_frames,
         seed=args.seed,
     )
     lines = ["perm,score"]
@@ -212,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=int, required=True)
     p.add_argument("--min-dist", type=int, default=5, dest="min_dist")
     p.add_argument("--channel", default="awgn:2.0")
-    p.add_argument("--mc-frames", type=int, default=0, dest="mc_frames")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_perms)

@@ -9,8 +9,7 @@ maps coefficient vectors to codewords.
 
 from __future__ import annotations
 
-import functools
-import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -18,20 +17,6 @@ from typing import Iterable
 import numpy as np
 
 from .bitmath import BitMatrix, BitVec, GF2mField, kernel_basis, rank, rref
-
-
-@functools.lru_cache(maxsize=None)
-def variable_mask(m: int, j: int) -> int:
-    """Evaluation payload of the single variable x_j over all 2^m points."""
-    if not 0 <= j < m:
-        raise ValueError(f"variable index {j} out of range for m={m}")
-    n = 1 << m
-    step = 1 << j
-    block = ((1 << step) - 1) << step  # pattern 0^step 1^step
-    out = 0
-    for base in range(0, n, 2 * step):
-        out |= block << base
-    return out
 
 
 @dataclass(frozen=True)
@@ -142,65 +127,20 @@ class LinearCode:
         return f"LinearCode(n={self.n}, k={self.k})"
 
 
-def evaluate_monomial(v: Monomial | int, m: int | None = None) -> BitVec:
-    """Evaluation vector of a monomial over all 2^m points."""
-    if isinstance(v, Monomial):
-        mask, m = v.mask, v.m
-    else:
-        if m is None:
-            raise ValueError("m required when passing a raw mask")
-        mask = v
-        if not 0 <= mask < (1 << m):
-            raise ValueError("mask out of range")
-    n = 1 << m
-    out = (1 << n) - 1
-    rem = mask
-    while rem:
-        j = (rem & -rem).bit_length() - 1
-        out &= variable_mask(m, j)
-        rem &= rem - 1
-    return BitVec(n, out)
-
-
-def encode(code: MonomialCode, u: BitVec) -> BitVec:
-    """Map a coefficient vector through the Kronecker transform.
-
-    u must be supported on the generating set; the transform is the in-place
-    butterfly (each level XORs the lower half of a pair block into the upper),
-    n log n bit operations in total.
-    """
-    n = code.n
-    if u.length != n:
-        raise ValueError(f"u has length {u.length}, expected {n}")
-    support = u.payload
-    allowed = 0
-    for v in code.gen_set:
-        allowed |= 1 << v
-    if support & ~allowed:
-        raise ValueError("u has support outside the generating set")
-    return kronecker_transform(u, code.m)
-
-
-def kronecker_transform(u: BitVec, m: int) -> BitVec:
-    """The self-inverse length-2^m butterfly transform over GF(2)."""
-    c = u.payload
-    for j in range(m):
-        lo = ~variable_mask(m, j)
-        c ^= (c & lo) << (1 << j)
-    return BitVec(1 << m, c)
-
-
 # byte masks that pick, in a little-endian word of eight 0/1 bytes, the bytes
 # whose index has bit `step` clear
 _WORD_STEPS = ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0x00000000FFFFFFFF))
 
 
 def kronecker_transform_array(bits: np.ndarray) -> np.ndarray:
-    """`kronecker_transform` along the last axis of an array of 0/1 entries.
+    """The self-inverse length-n Kronecker (butterfly) transform over GF(2)
+    along the last axis of an array of 0/1 entries, n = 2^m.
 
     Returns a new uint8 array; the transform maps coefficient vectors to
-    codewords and, being self-inverse, codewords back to coefficients.
-    Steps below eight entries run eight bytes at a time in 64-bit words.
+    codewords and, being self-inverse, codewords back to coefficients.  Each
+    level XORs the lower half of a pair block into the upper half, n log n
+    bit operations in total; steps below eight entries run eight bytes at a
+    time in 64-bit words.
     """
     out = np.array(bits, dtype=np.uint8, order="C")
     n = out.shape[-1]
@@ -286,6 +226,16 @@ def ebch_code(fld: GF2mField, delta: int) -> LinearCode:
 # largest field GF2mField supports.
 
 MAX_M = 16
+# ASCII only: int() also takes non-ASCII digits, signs, "0x" and "_"
+_DECIMAL = re.compile(r"[0-9]+")
+_HEX = re.compile(r"[0-9a-f]+")
+
+
+def check_m(m: int, low: int = 0) -> None:
+    """Raise ValueError unless low <= m <= MAX_M; call it before allocating
+    anything of size 2^m."""
+    if not low <= m <= MAX_M:
+        raise ValueError(f"m={m} is outside {low}..{MAX_M}")
 
 
 def save_code(code: MonomialCode | LinearCode, path: str | Path) -> None:
@@ -309,24 +259,20 @@ def load_code(path: str | Path) -> MonomialCode | LinearCode:
     for key in ("m", "type"):
         if key not in header:
             raise ValueError(f"code file header has no {key}= field")
-    try:
-        m = int(header["m"])
-    except ValueError:
-        raise ValueError(f"header m={header['m']!r} is not an integer") from None
-    if not 1 <= m <= MAX_M:
-        raise ValueError(f"header m={m} is outside 1..{MAX_M}")
+    if not _DECIMAL.fullmatch(header["m"]):
+        raise ValueError(f"header m={header['m']!r} is not a decimal integer")
+    m = int(header["m"])
+    check_m(m, low=1)
     kind = header["type"]
     if kind not in ("monomial", "linear"):
         raise ValueError(f"unknown code type {kind!r}")
-    values = [int(line, 16) for line in text[1:] if line.strip()]
+    rows = [line for line in text[1:] if line.strip()]
+    for row in rows:
+        if not _HEX.fullmatch(row):
+            raise ValueError(f"row {row!r} is not a lowercase hex number")
+    values = [int(row, 16) for row in rows]
     if kind == "monomial":
         return MonomialCode(m, frozenset(values))
-    if any(v < 0 or v >> (1 << m) for v in values):
+    if any(v >> (1 << m) for v in values):
         raise ValueError(f"row payload out of range for length {1 << m}")
     return LinearCode(BitMatrix.from_rows(values, 1 << m))
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

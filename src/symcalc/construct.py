@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .codes import MonomialCode
+from .codes import MonomialCode, check_m
 
 logger = logging.getLogger(__name__)
 
@@ -29,6 +29,7 @@ class ConstructionRequest:
     rm_order: int | None = None
 
     def __post_init__(self):
+        check_m(self.m, low=1)
         if not 1 <= self.t <= self.m:
             raise ValueError("need 1 <= t <= m")
         limit = 1 << self.m

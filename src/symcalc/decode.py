@@ -92,22 +92,28 @@ def resolve_layer_order(m: int, layer_perm: Sequence[int] | None) -> tuple[int, 
     return perm
 
 
+def branch_positions(masks: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """(P, len(masks)) transform branch of every mask under P layer orders.
+
+    perm[m-1] is the variable split first; bit `level` of the branch is bit
+    perm[level] of the mask, and branch q is decode position n-1-q.
+    """
+    m = perms.shape[1]
+    pos = np.zeros((perms.shape[0], masks.size), dtype=np.int64)
+    for level in range(m):
+        pos |= ((masks[None, :] >> perms[:, level, None]) & 1) << level
+    return pos
+
+
 @functools.lru_cache(maxsize=128)
 def _setup(m: int, gen_set: frozenset, perm: tuple[int, ...]):
     """Coordinate gather, its inverse, and the leaf info pattern for one
-    decode order."""
+    decode order: coordinate v is decoded at leaf inverse[v]."""
     n = 1 << m
-    y = np.arange(n)
-    var_idx = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        var_idx |= ((y >> j) & 1) << perm[j]
-    coord = var_idx[::-1].copy()  # recursion coordinate -> original coordinate
-    rel = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        rel |= ((y >> perm[j]) & 1) << j
+    inverse = (n - 1) ^ branch_positions(np.arange(n), np.array([perm], dtype=np.int64))[0]
+    coord = np.argsort(inverse)  # recursion coordinate -> original coordinate
     info = np.zeros(n, dtype=bool)
-    info[[(n - 1) ^ int(rel[v]) for v in gen_set]] = True
-    inverse = np.argsort(coord)
+    info[inverse[sorted(gen_set)]] = True
     for arr in (coord, inverse, info):
         arr.setflags(write=False)
     return coord, inverse, info

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,9 +31,6 @@ class Bec:
         if not 0 <= self.eps <= 1:
             raise ValueError("erasure probability must lie in [0, 1]")
 
-    def describe(self) -> str:
-        return f"bec:{self.eps:g}"
-
     @property
     def parameter(self) -> float:
         return self.eps
@@ -45,8 +42,8 @@ class BiAwgn:
 
     ebn0_db: float
 
-    def describe(self) -> str:
-        return f"awgn:{self.ebn0_db:g}"
+    def __post_init__(self):
+        check_ebn0(self.ebn0_db)
 
     @property
     def parameter(self) -> float:
@@ -54,6 +51,16 @@ class BiAwgn:
 
 
 ChannelModel = Bec | BiAwgn
+
+
+# keeps 10^(Eb/N0 / 10) and the LLR scale 2 / sigma^2 finite
+EBN0_DB_LIMIT = 300.0
+
+
+def check_ebn0(ebn0_db: float) -> None:
+    """Raise ValueError unless Eb/N0 is a dB value within +-EBN0_DB_LIMIT."""
+    if not -EBN0_DB_LIMIT <= ebn0_db <= EBN0_DB_LIMIT:
+        raise ValueError(f"Eb/N0 of {ebn0_db} dB is outside +-{EBN0_DB_LIMIT:g} dB")
 
 
 def noise_sigma(ebn0_db: float, rate: float) -> float:
@@ -107,6 +114,8 @@ class SimConfig:
     def __post_init__(self):
         if self.max_errors <= 0 or self.max_frames <= 0 or self.batch <= 0:
             raise ValueError("limits must be positive")
+        if self.list_size < 1 or self.perm_count < 1:
+            raise ValueError("list size and permutation count must be at least 1")
         if self.decoder not in ("sc", "scl", "perm", "ml"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
 

@@ -10,10 +10,17 @@ from symcalc.bitmath import (
     GF2mField,
     gf2m_mul,
     kernel_basis,
-    matmul_gf2,
     rank,
     rref,
 )
+
+
+def identity(n: int) -> BitMatrix:
+    return BitMatrix.from_array(np.eye(n, dtype=np.uint8))
+
+
+def zeros(rows: int, cols: int) -> BitMatrix:
+    return BitMatrix.from_array(np.zeros((rows, cols), dtype=np.uint8))
 
 
 class TestBitVec:
@@ -37,10 +44,10 @@ class TestBitVec:
 
 class TestRank:
     def test_identity(self):
-        assert rank(BitMatrix.identity(4)) == 4
+        assert rank(identity(4)) == 4
 
     def test_all_zero(self):
-        assert rank(BitMatrix.zeros(3, 5)) == 0
+        assert rank(zeros(3, 5)) == 0
 
     def test_upper_triangular_transform_rows(self):
         # rows (1111),(0101),(0011),(0001) with bit 0 = coordinate 0
@@ -55,8 +62,8 @@ class TestRank:
 
 class TestRref:
     def test_identity_fixed_point(self):
-        reduced, pivots = rref(BitMatrix.identity(5))
-        assert reduced == BitMatrix.identity(5)
+        reduced, pivots = rref(identity(5))
+        assert reduced == identity(5)
         assert pivots == list(range(5))
 
     def test_hand_elimination(self):
@@ -83,10 +90,10 @@ class TestRref:
 
 class TestKernel:
     def test_identity_has_empty_kernel(self):
-        assert kernel_basis(BitMatrix.identity(4)).rows == 0
+        assert kernel_basis(identity(4)).rows == 0
 
     def test_zero_matrix_full_kernel(self):
-        ker = kernel_basis(BitMatrix.zeros(2, 4))
+        ker = kernel_basis(zeros(2, 4))
         assert ker.rows == 4
         assert rank(ker) == 4
 
@@ -119,8 +126,8 @@ def test_kernel_annihilates_and_has_complementary_rank(rows, cols, seed):
     ker = kernel_basis(mat)
     assert ker.rows == cols - rank(mat)
     if ker.rows:
-        prod = matmul_gf2(mat, BitMatrix.from_array(ker.to_array().T))
-        assert not prod.to_array().any()
+        prod = (mat.to_array().astype(np.int64) @ ker.to_array().T) & 1
+        assert not prod.any()
         assert rank(ker) == ker.rows
 
 
@@ -165,7 +172,7 @@ def ref_kernel_basis(mat):
         out[idx, f] = 1
         for i, p in enumerate(pivots):
             out[idx, p] = red[i, f]
-    return BitMatrix.from_array(out) if len(free_cols) else BitMatrix.zeros(0, mat.cols)
+    return BitMatrix.from_array(out)
 
 
 def structured_matrix(rows, cols, kind, seed):
@@ -269,5 +276,4 @@ class TestGF2m:
             assert fld.mul(a, b) == fld.mul(b, a)
             assert fld.mul(fld.mul(a, b), c) == fld.mul(a, fld.mul(b, c))
         for a in range(1, size):
-            assert fld.mul(a, fld.inv(a)) == 1
             assert fld.mul(fld.pow(a, size - 2), a) == 1

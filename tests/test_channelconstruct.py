@@ -170,11 +170,6 @@ class TestSelectPermutations:
         sel = select_permutations(code, 5, Bec(0.4), min_dist=2)
         assert not sel.complete and len(sel.perms) < 5
 
-    def test_monte_carlo_override_runs(self):
-        code = construct_partially_symmetric(ConstructionRequest(m=3, t=2, k=4))
-        sel = select_permutations(code, 2, BiAwgn(1.0), min_dist=0, mc_frames=64, seed=3)
-        assert len(sel.perms) == 2
-
     def test_deterministic(self):
         code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
         a = select_permutations(code, 4, BiAwgn(2.0))

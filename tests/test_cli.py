@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcalc.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, run
-from symcalc.codes import MonomialCode, load_code
+from symcalc.codes import MAX_M, MonomialCode, load_code, save_code
 from symcalc.calculus import symmetry_profile
 
 WORKED = {0, 1, 2, 4, 8, 9, 10, 12}
@@ -39,6 +40,12 @@ class TestConstructCommand:
     def test_invalid_params(self, tmp_path, capsys):
         code, _, _ = invoke(capsys, "construct", "--m", "4", "--t", "9", "--k", "8", "--out", str(tmp_path / "x"))
         assert code == EXIT_INVALID
+
+    def test_m_beyond_limit_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, _, err = invoke(capsys, "construct", "--m", "17", "--t", "17", "--k", "1", "--out", str(out))
+        assert code == EXIT_INVALID
+        assert "error: " in err and not out.exists()
 
 
 class TestAnalyzeCommand:
@@ -75,6 +82,9 @@ class TestAnalyzeCommand:
             "m=4.5 type=linear",
             "m=0 type=monomial",
             "m=17 type=linear",  # one past the largest supported field
+            "m=\u0663 type=monomial",  # Arabic-Indic three
+            "m=+3 type=monomial",
+            "m=0x3 type=monomial",
         ],
     )
     def test_malformed_header_exits_2(self, tmp_path, capsys, header):
@@ -83,6 +93,15 @@ class TestAnalyzeCommand:
         code, _, err = invoke(capsys, "analyze", "--code", str(path))
         assert code == EXIT_INVALID
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("kind", ["monomial", "linear"])
+    @pytest.mark.parametrize("row", ["\u0663", "0x3", "0X3", "1_2", "+3", " 3", "3F"])
+    def test_non_ascii_hex_row_exits_2(self, tmp_path, capsys, kind, row):
+        path = tmp_path / "bad.code"
+        path.write_text(f"m=3 type={kind}\n1\n{row}\n2\n")
+        code, stdout, err = invoke(capsys, "analyze", "--code", str(path))
+        assert code == EXIT_INVALID
+        assert err.startswith("error: ") and not stdout
 
     def test_linear_row_beyond_length_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.code"
@@ -108,6 +127,25 @@ class TestBoundsCommand:
         code, _, _ = invoke(capsys, "bounds", "--n", "100")
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("args", [("--m", "17", "--t", "1"), ("--n", str(1 << 17))])
+    def test_m_beyond_limit_exits_2(self, capsys, args):
+        code, stdout, err = invoke(capsys, "bounds", *args)
+        assert code == EXIT_INVALID
+        assert "error: " in err and not stdout
+
+    def test_m_bounded_before_k_range(self, capsys, monkeypatch):
+        """--m is checked before a k range of size 2^m is built."""
+        calls = []
+        monkeypatch.setattr("symcalc.bounds.bound_curve", lambda *args: calls.append(args) or [])
+        code, _, err = invoke(capsys, "bounds", "--m", "17", "--k-min", "1")
+        assert code == EXIT_INVALID
+        assert "error: " in err and not calls
+
+    def test_k_min_zero_exits_2(self, capsys):
+        code, stdout, err = invoke(capsys, "bounds", "--m", "4", "--k-min", "0")
+        assert code == EXIT_INVALID
+        assert "error: " in err and not stdout
+
 
 class TestFrozenCommand:
     def test_bec_frozen_writes_polar_code(self, tmp_path, capsys, caplog):
@@ -122,6 +160,13 @@ class TestFrozenCommand:
     def test_requires_exactly_one_channel(self, tmp_path, capsys):
         code, _, _ = invoke(capsys, "frozen", "--m", "3", "--k", "4", "--out", str(tmp_path / "p"))
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("channel", [("--bec", "0.5"), ("--awgn", "2")])
+    def test_m_beyond_limit_exits_2(self, tmp_path, capsys, channel):
+        out = tmp_path / "p"
+        code, _, err = invoke(capsys, "frozen", "--m", "17", "--k", "5", *channel, "--out", str(out))
+        assert code == EXIT_INVALID
+        assert "error: " in err and not out.exists()
 
 
 class TestPermsCommand:
@@ -138,6 +183,13 @@ class TestPermsCommand:
         assert len(lines) == 4
         first = lines[1].split(",")
         assert sorted(int(x) for x in first[:4]) == [0, 1, 2, 3]
+
+    def test_monte_carlo_flag_removed(self, tmp_path, capsys):
+        out = tmp_path / "c.code"
+        invoke(capsys, "construct", "--m", "4", "--t", "3", "--k", "8", "--out", str(out))
+        code, _, err = invoke(capsys, "perms", "--code", str(out), "--P", "1", "--mc-frames", "1")
+        assert code == EXIT_INVALID
+        assert "unrecognized arguments: --mc-frames" in err
 
 
 class TestSimulateCommand:
@@ -191,12 +243,8 @@ class TestSimulateCommand:
             assert f"unrecognized arguments: {flag}" in err
 
 
-def _rejects(text: str, base: int) -> bool:
-    try:
-        int(text, base)
-    except ValueError:
-        return True
-    return False
+# spellings that Python's int() reads as a number but the file format rejects
+INT_SPELLINGS = ["\u0663", "0x3", "0X3", "1_2", "+3", " 3"]
 
 
 @st.composite
@@ -212,12 +260,16 @@ def malformed_code_files(draw):
     if defect in ("no_m", "no_type"):
         del fields[defect[3:]]
     elif defect == "m_not_int":
-        fields["m"] = draw(st.text("0123456789abx.+-_=", max_size=6).filter(lambda v: _rejects(v, 10)))
+        fields["m"] = draw(
+            st.text("0123456789abx.+-_=", max_size=6).filter(lambda v: not re.fullmatch("[0-9]+", v))
+            | st.sampled_from(INT_SPELLINGS)
+        )
     elif defect == "m_out_of_range":
         fields["m"] = str(draw(st.integers(-3, 0) | st.just(17)))
     elif defect == "bad_hex":
-        bad = draw(st.text("0123456789abcdefgxz.-_ ", min_size=1, max_size=6).filter(
-            lambda r: r.strip() and _rejects(r, 16)))
+        # trailing blanks on the last row fall to the file's strip
+        bad = draw(st.text("0123456789abcdefABFgxXz.+-_ ", min_size=1, max_size=6).filter(
+            lambda r: r.strip() and not re.fullmatch("[0-9a-f]+", r.rstrip())) | st.sampled_from(INT_SPELLINGS))
         rows.insert(draw(st.integers(0, len(rows))), bad)
     else:
         m = draw(st.integers(1, 8))
@@ -242,3 +294,121 @@ def test_malformed_code_file_exits_2(text):
             code = run(["analyze", "--code", str(path)])
     assert code == EXIT_INVALID
     assert err.getvalue().startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# Malformed flag values: each is rejected before any work (no code is built,
+# no frame is drawn), and m stays below 20 so that nothing of size 2^m is
+# large even where a check is missing.
+
+NON_INTEGERS = ["x", "", "1.5", "1e3", "nan", "--"]
+BAD_CHANNELS = [
+    "bec:-0.1", "bec:1.5", "bec:nan", "bec:inf", "awgn:nan", "awgn:inf", "awgn:-inf",
+    "awgn:1e308", "awgn:", "awgn:x", "awgn:1,,2", "laplace:1", "bec",
+]
+
+positive = st.integers(1, 4)
+not_positive = st.integers(-(2**40), 0)
+beyond_m = st.integers(MAX_M + 1, 19)
+
+
+def _int_flag(bad: st.SearchStrategy) -> st.SearchStrategy:
+    return bad.map(str) | st.sampled_from(NON_INTEGERS)
+
+
+# subcommand -> (valid flags, {flag: strategy of rejected values})
+MALFORMED_FLAGS = {
+    "construct": (
+        {"--m": "4", "--t": "3", "--k": "8"},
+        {
+            "--m": _int_flag(not_positive | beyond_m),
+            "--t": _int_flag(not_positive | st.integers(5, 2**40)),
+            "--k": _int_flag(not_positive | st.integers(17, 2**40)),
+            "--rm-order": _int_flag(st.integers(-(2**40), -1) | st.integers(5, 2**40)),
+        },
+    ),
+    "bounds": (
+        {"--m": "4", "--t": "2"},
+        {
+            "--m": _int_flag(st.integers(-(2**40), -1) | beyond_m),
+            "--n": _int_flag(not_positive | st.sampled_from([3, 100, 1 << 17, 1 << 19])),
+            "--t": _int_flag(not_positive | st.integers(5, 2**40)),
+            "--k-min": _int_flag(not_positive | st.integers(17, 2**40)),
+            "--k-max": _int_flag(not_positive | st.integers(17, 2**40)),
+        },
+    ),
+    "frozen": (
+        {"--m": "3", "--k": "4", "--bec": "0.5"},
+        {
+            "--m": _int_flag(st.integers(-(2**40), -1) | beyond_m),
+            "--k": _int_flag(not_positive | st.integers(9, 2**40)),
+            "--bec": st.sampled_from(["-0.1", "1.5", "nan", "inf", "x"]),
+            "--awgn": st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "x"]),
+        },
+    ),
+    "perms": (
+        {"--P": "2"},
+        {
+            "--P": _int_flag(not_positive),
+            "--channel": st.sampled_from(BAD_CHANNELS),
+            "--mc-frames": positive.map(str),
+        },
+    ),
+    "simulate": (
+        {"--channel": "bec:0.3", "--max-frames": "8"},
+        {
+            "--L": _int_flag(not_positive),
+            "--P": _int_flag(not_positive),
+            "--max-errors": _int_flag(not_positive),
+            "--max-frames": _int_flag(not_positive),
+            "--batch": _int_flag(not_positive),
+            "--channel": st.sampled_from(BAD_CHANNELS),
+            "--decoder": st.sampled_from(["", "SC", "list", "bp"]),
+        },
+    ),
+}
+
+
+@st.composite
+def malformed_invocations(draw):
+    """A subcommand with valid flags, one of which is replaced by (or joined
+    with) a value rejected before any work."""
+    command = draw(st.sampled_from(sorted(MALFORMED_FLAGS)))
+    valid, bad = MALFORMED_FLAGS[command]
+    flag = draw(st.sampled_from(sorted(bad)))
+    flags = dict(valid)
+    if command == "frozen" and flag == "--awgn":
+        del flags["--bec"]
+    flags[flag] = draw(bad[flag])
+    return command, flags
+
+
+@pytest.fixture(scope="module")
+def worked_code_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "worked.code"
+    save_code(MonomialCode(4, frozenset(WORKED)), path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_invocations())
+def test_malformed_arguments_exit_2(worked_code_file, invocation):
+    command, flags = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.code"
+        argv = [command]
+        if command in ("perms", "simulate"):
+            argv += ["--code", str(worked_code_file)]
+        if command in ("construct", "frozen"):
+            argv += ["--out", str(out)]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = run(argv)
+        assert not out.exists()
+    assert code == EXIT_INVALID, argv
+    text = err.getvalue()
+    assert "Traceback" not in text
+    assert text.startswith("error: ") or "usage: symcalc" in text, argv
+    assert not stdout.getvalue()

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from symcalc.bitmath import BitMatrix, BitVec, GF2mField, kernel_basis, rank
+from symcalc.bitmath import BitMatrix, GF2mField, kernel_basis, rank
 from symcalc.codes import (
     FrozenSpec,
     LinearCode,
     Monomial,
     MonomialCode,
     ebch_code,
-    encode,
-    evaluate_monomial,
-    kronecker_transform,
+    encode_batch,
+    kronecker_transform_array,
     load_code,
     monomial_min_distance,
     monomial_to_linear,
@@ -38,61 +37,76 @@ def all_codewords(code: MonomialCode) -> np.ndarray:
     return (infos @ gen) & 1
 
 
+def random_bits(rng, shape) -> np.ndarray:
+    return rng.randint(0, 2, size=shape).astype(np.uint8)
+
+
+# one-dimensional, (B, n) and (B, P, n) inputs
+BATCH_SHAPES = [(), (5,), (3, 4)]
+
+
 class TestEvaluateMonomial:
+    """Row v of the transform is the evaluation vector of the monomial v."""
+
     def test_constant_over_one_variable(self):
-        assert evaluate_monomial(0, 1).to_array().tolist() == [1, 1]
+        assert kronecker_transform_array([1, 0]).tolist() == [1, 1]
 
     def test_x0_over_one_variable(self):
-        assert evaluate_monomial(1, 1).to_array().tolist() == [0, 1]
+        assert kronecker_transform_array([0, 1]).tolist() == [0, 1]
 
     def test_x0_over_two_variables(self):
-        assert evaluate_monomial(1, 2).to_array().tolist() == [0, 1, 0, 1]
+        assert kronecker_transform_array([0, 1, 0, 0]).tolist() == [0, 1, 0, 1]
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("m", range(0, 11))
     def test_rows_match_kronecker_power(self, m):
         a = kronecker_matrix(m)
-        for v in range(1 << m):
-            assert evaluate_monomial(v, m).to_array().tolist() == a[v].tolist()
+        unit = np.eye(1 << m, dtype=np.uint8)
+        assert np.array_equal(kronecker_transform_array(unit), a)
+        full = MonomialCode(m, frozenset(range(1 << m)))
+        assert np.array_equal(encode_batch(full, unit), a)
 
 
 class TestEncode:
     def test_zero_input(self):
         code = rm_code(1, 3)
-        assert encode(code, BitVec(8, 0)).payload == 0
+        assert not encode_batch(code, np.zeros((2, code.k), dtype=np.uint8)).any()
 
     def test_constant_only_gives_all_ones(self):
         code = rm_code(1, 3)
-        assert encode(code, BitVec(8, 1)).payload == (1 << 8) - 1
+        info = np.zeros((1, code.k), dtype=np.uint8)
+        info[0, code.sorted_masks().index(0)] = 1
+        assert encode_batch(code, info).tolist() == [[1] * 8]
 
     def test_rm13_two_rows(self):
         code = rm_code(1, 3)
-        u = BitVec(8, 0b11)  # constant + x0
+        assert code.sorted_masks() == [0, 1, 2, 4]
         a = kronecker_matrix(3)
-        expected = (a[0] ^ a[1]).tolist()
-        assert encode(code, u).to_array().tolist() == expected
+        expected = (a[0] ^ a[1]).tolist()  # constant + x0
+        assert encode_batch(code, np.array([[1, 1, 0, 0]])).tolist() == [expected]
 
-    def test_support_outside_gen_set_rejected(self):
-        code = rm_code(0, 2)
-        with pytest.raises(ValueError):
-            encode(code, BitVec(4, 0b10))
-
-    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("m", range(0, 11))
     def test_butterfly_equals_matrix_multiplication(self, m):
+        """Both the byte steps (n < 8) and the 64-bit word steps (n >= 8)
+        equal a product with the Kronecker matrix, on every input shape."""
         rng = np.random.RandomState(m)
-        a = kronecker_matrix(m)
-        code = MonomialCode(m, frozenset(range(1 << m)))
-        for _ in range(10):
-            u = rng.randint(0, 2, 1 << m).astype(np.uint8)
-            expected = (u @ a) % 2
-            got = encode(code, BitVec.from_array(u))
-            assert got.to_array().tolist() == expected.tolist()
+        a = kronecker_matrix(m).astype(np.int64)
+        n = 1 << m
+        for shape in BATCH_SHAPES:
+            u = random_bits(rng, shape + (n,))
+            assert np.array_equal(kronecker_transform_array(u), (u @ a) % 2)
+        masks = sorted(rng.choice(n, size=rng.randint(1, n + 1), replace=False).tolist())
+        info = random_bits(rng, (6, len(masks)))
+        code = MonomialCode(m, frozenset(masks))
+        assert np.array_equal(encode_batch(code, info), (info @ a[masks]) % 2)
 
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", range(0, 11))
     def test_transform_is_self_inverse(self, m):
         rng = np.random.RandomState(100 + m)
-        for _ in range(10):
-            u = BitVec.from_array(rng.randint(0, 2, 1 << m))
-            assert kronecker_transform(kronecker_transform(u, m), m) == u
+        for shape in BATCH_SHAPES:
+            u = random_bits(rng, shape + (1 << m,))
+            once = kronecker_transform_array(u)
+            assert once.dtype == np.uint8 and once.shape == u.shape
+            assert np.array_equal(kronecker_transform_array(once), u)
 
 
 class TestRmCode:

@@ -11,7 +11,8 @@ from symcalc import decode
 from symcalc.bitmath import BitVec
 from symcalc.codes import (
     MonomialCode,
-    encode,
+    encode_batch,
+    kronecker_transform_array,
     monomial_to_linear,
     rm_code,
 )
@@ -29,6 +30,22 @@ from symcalc.decode import (
     scl_decode_batch,
 )
 from symcalc.sim import Bec, BiAwgn, frame_rng, transmit
+
+
+def transform(u: BitVec) -> BitVec:
+    """The codeword whose coefficient vector is u."""
+    return BitVec.from_array(kronecker_transform_array(u.to_array()))
+
+
+def assert_reencodes(code: MonomialCode, u, codewords) -> None:
+    """Each coefficient vector lies on the generating set and encodes to its
+    codeword; u and codewords are (..., n) arrays or single BitVecs."""
+    u, codewords = (
+        (x.to_array() if isinstance(x, BitVec) else np.asarray(x)).reshape(-1, code.n)
+        for x in (u, codewords)
+    )
+    assert np.array_equal(encode_batch(code, u[:, code.sorted_masks()]), codewords)
+    assert np.array_equal(kronecker_transform_array(u), codewords)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +222,7 @@ def test_sc_batch_u_matches_reference_and_reencodes(case):
     cw, u, ties = sc_decode_batch(code, llrs, perms[0], min_sum)
     ref_cw, ref_u, ref_ties = ref_sc_batch(code, llrs, perms[0], min_sum)
     assert np.array_equal(cw, ref_cw) and np.array_equal(u, ref_u) and np.array_equal(ties, ref_ties)
-    for row_cw, row_u in zip(cw, u):
-        assert encode(code, BitVec.from_array(row_u)).to_array().tolist() == row_cw.tolist()
+    assert_reencodes(code, u, cw)
 
 
 @settings(max_examples=150, deadline=None)
@@ -219,15 +235,14 @@ def test_scl_batch_matches_reference(case, L):
     ref_cw, ref_u, ref_penalties = ref_scl_batch(code, llrs, L, perms[0], min_sum)
     assert np.array_equal(cw, ref_cw) and np.array_equal(u, ref_u)
     assert np.array_equal(penalties.view(np.uint64), ref_penalties.view(np.uint64))
-    for row_cw, row_u in zip(cw.reshape(-1, code.n), u.reshape(-1, code.n)):
-        assert encode(code, BitVec.from_array(row_u)).to_array().tolist() == row_cw.tolist()
+    assert_reencodes(code, u, cw)
 
 
 class TestScDecode:
     def test_noiseless_rm13(self):
         code = rm_code(1, 3)
         u = BitVec(8, 0b10111)
-        cw = encode(code, u)
+        cw = transform(u)
         llr = np.where(cw.to_array() == 0, np.inf, -np.inf)
         res = sc_decode(code, llr)
         assert res.codeword == cw and res.u == u
@@ -274,14 +289,14 @@ class TestScDecode:
         for f in range(50):
             _, llr = random_frame(code, f, db=0.0)
             res = sc_decode(code, llr)
-            assert encode(code, res.u) == res.codeword
+            assert_reencodes(code, res.u, res.codeword)
 
     def test_layer_perm_output_is_codeword(self):
         code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
         for perm in itertools.permutations(range(4)):
             _, llr = random_frame(code, 7, db=0.0)
             res = sc_decode(code, llr, layer_perm=perm)
-            assert encode(code, res.u) == res.codeword
+            assert_reencodes(code, res.u, res.codeword)
 
 
 class TestSclDecode:
@@ -352,7 +367,7 @@ class TestPermutationDecode:
         for f in range(50):
             _, llr = random_frame(code, f, db=1.0, seed=43)
             res = permutation_decode(code, llr, perms)
-            assert encode(code, res.u) == res.codeword
+            assert_reencodes(code, res.u, res.codeword)
             for cand, _ in res.candidates:
                 assert rank(BitMatrix.from_rows(gen_rows + [cand.payload], 16)) == code.k
 
@@ -369,7 +384,7 @@ class TestPermutationDecode:
 class TestMlDecode:
     def test_noiseless(self):
         code = rm_code(1, 3)
-        cw = encode(code, BitVec(8, 0b10110))
+        cw = transform(BitVec(8, 0b10110))
         llr = np.where(cw.to_array() == 0, 50.0, -50.0)
         assert ml_decode_bruteforce(code, llr).codeword == cw
 
@@ -390,7 +405,7 @@ class TestMlDecode:
         code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
         _, llr = random_frame(code, 9, db=1.0)
         res = ml_decode_bruteforce(code, llr)
-        assert encode(code, res.u) == res.codeword
+        assert_reencodes(code, res.u, res.codeword)
 
 
 class TestMlLowerBoundFlag:
@@ -403,7 +418,7 @@ class TestMlLowerBoundFlag:
 
     def test_noiseless_true(self):
         code = rm_code(1, 3)
-        cw = encode(code, BitVec(8, 1))
+        cw = transform(BitVec(8, 1))
         llr = np.where(cw.to_array() == 0, np.inf, -np.inf)
         res = sc_decode(code, llr)
         assert ml_lower_bound_flag(res, cw, llr)
@@ -419,7 +434,7 @@ class TestMlLowerBoundFlag:
 class TestBecBehaviour:
     def test_noiseless_bec(self):
         code = rm_code(1, 3)
-        cw = encode(code, BitVec(8, 0b10011))
+        cw = transform(BitVec(8, 0b10011))
         rng = frame_rng(0, 0)
         llr = transmit(Bec(0.0), cw, rng)
         res = sc_decode(code, llr)
