@@ -83,6 +83,8 @@ def fully_symmetric_lb(m: int, k: int) -> tuple[int, SymmetricDecomposition]:
 def representable_dimensions(m: int, t: int) -> list[int]:
     """All k for which the t-symmetric bound holds with an exact decomposition."""
     check_m(m)
+    if not 1 <= t <= m:
+        raise ValueError("need 1 <= t <= m")
     out: set[int] = set()
     for l in range(1, t + 2):
         base = _base(m, t, l)

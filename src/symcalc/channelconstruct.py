@@ -18,7 +18,7 @@ from scipy.special import erfc
 
 from .codes import FrozenSpec, MonomialCode, check_m, polar_code
 from .decode import branch_positions, resolve_layer_order
-from .sim import Bec, BiAwgn, ChannelModel, check_ebn0, noise_sigma
+from .sim import Bec, BiAwgn, ChannelModel, check_ebn0, noise_sigma, philox_key
 
 
 def bec_density_evolution(m: int, eps: float) -> np.ndarray:
@@ -209,7 +209,7 @@ def select_permutations(
     m = code.m
     sampled = m > _SAMPLE_LIMIT
     if sampled:
-        rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        rng = np.random.Generator(np.random.Philox(key=philox_key(seed, 0)))
         cand = {tuple(range(m))}
         while len(cand) < _SAMPLE_COUNT:
             cand.update(tuple(int(x) for x in rng.permutation(m)) for _ in range(1024))

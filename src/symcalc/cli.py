@@ -33,7 +33,7 @@ def _default_seed() -> int:
     try:
         return int(env) if env else 0
     except ValueError:
-        raise SystemExit(f"SYMCALC_SEED={env!r} is not an integer")
+        raise ValueError(f"SYMCALC_SEED={env!r} is not an integer") from None
 
 
 def _parse_channels(spec: str) -> list[_sim.ChannelModel]:
@@ -248,10 +248,10 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
-    logger.info("config: %s", {k: v for k, v in vars(args).items() if k != "func"})
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
+        logger.info("config: %s", {k: v for k, v in vars(args).items() if k != "func"})
         return args.func(args)
     except NonRepresentableError as exc:
         print(str(exc), file=sys.stderr)

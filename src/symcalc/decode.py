@@ -21,6 +21,7 @@ from .codes import LinearCode, MonomialCode, kronecker_transform_array, monomial
 LLR_CLAMP = 1e30  # stands in for +/- infinity so BEC inputs stay arithmetic-safe
 
 ML_MAX_DIMENSION = 20
+ML_CHUNK_CELLS = 1 << 20  # bounds ml_decode_batch's (codewords, n) and (B, codewords) arrays
 
 
 def _clamp(llr: np.ndarray) -> np.ndarray:
@@ -365,39 +366,57 @@ def _monomial_generator(m: int, gen_set: frozenset) -> np.ndarray:
     return gen
 
 
-def ml_decode_bruteforce(code: LinearCode | MonomialCode, llr: np.ndarray) -> DecodeResult:
-    """Exact maximum-likelihood decoding by scoring all 2^k codewords."""
+def ml_decode_batch(code: LinearCode | MonomialCode, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact maximum-likelihood decoding of (B, n) LLRs by scoring all 2^k codewords.
+
+    Returns the (B, n) codewords and their (B, k) info bits, one per generator
+    row (ascending mask order for a monomial code).  Codewords are scored in
+    the order of their info bits read as a little-endian integer, and the
+    first of highest correlation wins.  Each chunk of codewords is scored
+    against all B frames with an einsum whose per-frame sums do not depend on
+    B, so a frame decodes the same alone or in any batch.
+    """
     if code.k > ML_MAX_DIMENSION:
         raise ValueError(f"k={code.k} exceeds the brute-force limit {ML_MAX_DIMENSION}")
-    mono = code if isinstance(code, MonomialCode) else None
-    if mono is not None:
-        gen = _monomial_generator(mono.m, mono.gen_set)
+    if isinstance(code, MonomialCode):
+        gen = _monomial_generator(code.m, code.gen_set)
     else:
         gen = code.generator_array().astype(np.uint8)
-    k = gen.shape[0]
-    llr = np.asarray(llr, dtype=np.float64)
-    best_val = -np.inf
-    best_idx = -1
-    chunk = 1 << 12
+    k, n = gen.shape
+    lam = _clamp(llrs)
+    if lam.ndim != 2 or lam.shape[1] != n:
+        raise ValueError(f"expected (B, {n}) LLRs, got shape {lam.shape}")
+    frames = lam.shape[0]
     total = 1 << k
+    chunk = max(1, min(total, ML_CHUNK_CELLS // max(n, frames)))
     exps = np.arange(k)
-    lam = _clamp(llr)
+    best_val = np.full(frames, -np.inf)
+    best_idx = np.zeros(frames, dtype=np.int64)
+    rows = np.arange(frames)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
         infos = ((idx[:, None] >> exps) & 1).astype(np.uint8)
-        cws = (infos @ gen) & 1
-        corr = (1.0 - 2.0 * cws.astype(np.float64)) @ lam
-        local = int(np.argmax(corr))
-        if corr[local] > best_val:
-            best_val = float(corr[local])
-            best_idx = start + local
-    info_bits = ((best_idx >> exps) & 1).astype(np.uint8)
-    cw = (info_bits @ gen) & 1
+        signs = 1.0 - 2.0 * ((infos @ gen) & 1).astype(np.float64)
+        corr = np.einsum("cn,bn->bc", signs, lam)
+        local = np.argmax(corr, axis=1)
+        val = corr[rows, local]
+        better = val > best_val
+        best_val[better] = val[better]
+        best_idx[better] = start + local[better]
+    info_bits = ((best_idx[:, None] >> exps) & 1).astype(np.uint8)
+    return (info_bits @ gen) & 1, info_bits
+
+
+def ml_decode_bruteforce(code: LinearCode | MonomialCode, llr: np.ndarray) -> DecodeResult:
+    """Exact maximum-likelihood decoding of one frame: `ml_decode_batch` with B = 1."""
+    llr = np.asarray(llr, dtype=np.float64)
+    cws, infos = ml_decode_batch(code, llr[None, :])
+    cw, info_bits = cws[0], infos[0]
     metric = correlation_metric(cw, llr)
     codeword = BitVec.from_array(cw)
-    if mono is not None:
-        u = np.zeros(mono.n, dtype=np.uint8)
-        u[mono.sorted_masks()] = info_bits
+    if isinstance(code, MonomialCode):
+        u = np.zeros(code.n, dtype=np.uint8)
+        u[code.sorted_masks()] = info_bits
         u_vec = BitVec.from_array(u)
     else:
         u_vec = BitVec.from_array(info_bits)

@@ -1,10 +1,15 @@
 """Seeded Monte Carlo frame-error-rate estimation over BEC and BI-AWGN.
 
-Every frame draws from its own counter-based substream, Philox keyed by
-(seed, frame index): the info bits come first, then the channel noise.
-Results are therefore bit-identical for any batch size or evaluation order.
-Error counting compares codewords, and a decoding error whose metric ties the
-transmitted codeword is reported separately as a tie.
+Every frame draws from its own counter-based substream, Philox keyed by the
+uint64 pair (seed mod 2^64, frame index) with a zero counter: the info bits
+come first, then the channel draws.  Results are therefore bit-identical for
+any batch size or evaluation order.  A batch builds one Philox and re-keys it
+per frame through its state, which yields the same stream as a fresh
+generator.  Info bits are the top bits of the stream's bytes, read from raw
+64-bit words: the bits `Generator.integers(0, 2, dtype=uint8)` returns.  The
+channel arithmetic then runs once over the whole batch.  Error counting
+compares codewords, and a decoding error whose metric ties the transmitted
+codeword is reported separately as a tie.
 """
 
 from __future__ import annotations
@@ -70,9 +75,41 @@ def noise_sigma(ebn0_db: float, rate: float) -> float:
     return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
 
 
+def philox_key(seed: int, index: int) -> np.ndarray:
+    """The Philox key of substream `index` of a seed: uint64 (seed mod 2^64, index).
+
+    Built as a uint64 array because numpy converts a list holding a value of
+    2^63 or more through float64, which merges distinct seeds.
+    """
+    return np.array([seed & (2**64 - 1), index], dtype=np.uint64)
+
+
 def frame_rng(seed: int, frame: int) -> np.random.Generator:
     """The per-frame substream: Philox keyed by (seed, frame)."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), frame]))
+    return np.random.Generator(np.random.Philox(key=philox_key(seed, frame)))
+
+
+def _channel_sampler(channel: ChannelModel, rng: np.random.Generator, rate: float | None):
+    """The generator method that draws a channel's per-coordinate randomness:
+    uniforms for the BEC, standard normals for BI-AWGN."""
+    if isinstance(channel, Bec):
+        return rng.random
+    if isinstance(channel, BiAwgn):
+        if rate is None:
+            raise ValueError("BI-AWGN needs the code rate to fix the noise level")
+        return rng.standard_normal
+    raise TypeError(f"unsupported channel {channel!r}")
+
+
+def _channel_llrs(channel: ChannelModel, bits: np.ndarray, draws: np.ndarray, rate: float | None) -> np.ndarray:
+    """LLRs of BPSK-mapped bits (0 -> +1, 1 -> -1) given the channel's draws
+    of the same shape; elementwise, so a batch gives every frame's own bits."""
+    symbols = 1.0 - 2.0 * bits.astype(np.float64)
+    if isinstance(channel, Bec):
+        return np.where(draws < channel.eps, 0.0, symbols * np.inf)
+    sigma = noise_sigma(channel.ebn0_db, rate)
+    y = symbols + sigma * draws
+    return 2.0 * y / sigma**2
 
 
 def transmit(
@@ -83,18 +120,43 @@ def transmit(
 ) -> np.ndarray:
     """BPSK-map a codeword (0 -> +1, 1 -> -1) and sample per-coordinate LLRs."""
     bits = codeword.to_array() if isinstance(codeword, BitVec) else np.asarray(codeword)
-    n = bits.shape[0]
-    symbols = 1.0 - 2.0 * bits.astype(np.float64)
-    if isinstance(channel, Bec):
-        erased = rng.random(n) < channel.eps
-        return np.where(erased, 0.0, symbols * np.inf)
-    if isinstance(channel, BiAwgn):
-        if rate is None:
-            raise ValueError("BI-AWGN needs the code rate to fix the noise level")
-        sigma = noise_sigma(channel.ebn0_db, rate)
-        y = symbols + sigma * rng.standard_normal(n)
-        return 2.0 * y / sigma**2
-    raise TypeError(f"unsupported channel {channel!r}")
+    draws = _channel_sampler(channel, rng, rate)(bits.shape[0])
+    return _channel_llrs(channel, bits, draws, rate)
+
+
+def draw_frames(
+    code: MonomialCode, channel: ChannelModel, seed: int, lo: int, hi: int, all_zero: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Info bits (B, k), codewords (B, n) and LLRs (B, n) of frames lo..hi-1.
+
+    Bit for bit what `frame_rng(seed, f)`, `integers(0, 2, size=k,
+    dtype=uint8)` and `transmit` at the code rate give for each frame f; with
+    all_zero the info bits are zero and not drawn.
+    """
+    if not 0 <= lo <= hi <= 2**64:
+        raise ValueError(f"frame range {lo}..{hi} is not within 0..2^64")
+    bg = np.random.Philox(key=philox_key(seed, 0))
+    rng = np.random.Generator(bg)
+    state = bg.state  # zero counter, empty buffers: a fresh generator's state
+    key = state["state"]["key"]
+    rate = code.k / code.n
+    draw = _channel_sampler(channel, rng, rate)
+    words = 0 if all_zero else -(-code.k // 8)
+    raw = np.zeros((hi - lo, words), dtype=np.uint64)
+    draws = np.empty((hi - lo, code.n), dtype=np.float64)
+    for i in range(hi - lo):
+        key[1] = lo + i
+        bg.state = state
+        raw[i] = bg.random_raw(words)
+        draw(out=draws[i])
+    if all_zero:
+        info = np.zeros((hi - lo, code.k), dtype=np.uint8)
+    else:
+        # integers(0, 2, dtype=uint8) maps each stream byte, low byte of each
+        # word first, to its top bit
+        info = raw.astype("<u8", copy=False).view(np.uint8)[:, : code.k] >> 7
+    sent = encode_batch(code, info)
+    return info, sent, _channel_llrs(channel, sent, draws, rate)
 
 
 @dataclass(frozen=True)
@@ -180,10 +242,7 @@ def _decode_batch(code, llrs, config: SimConfig, layer_perm):
         cw, _ = _dec.sc_decode_orders(code, llrs, config.perms, config.min_sum)
         return _closest(cw, llrs)
     if config.decoder == "ml":
-        out = np.empty((llrs.shape[0], code.n), dtype=np.uint8)
-        for i in range(llrs.shape[0]):
-            out[i] = _dec.ml_decode_bruteforce(code, llrs[i]).codeword.to_array()
-        return out
+        return _dec.ml_decode_batch(code, llrs)[0]
     raise AssertionError(config.decoder)
 
 
@@ -195,20 +254,11 @@ class _BatchCounts:
     certified: int = 0
 
 
-def _run_batch(code, channel, config: SimConfig, layer_perm, rate, lo: int, hi: int) -> _BatchCounts:
-    rngs = [frame_rng(config.seed, f) for f in range(lo, hi)]
-    info = np.zeros((hi - lo, code.k), dtype=np.uint8)
-    if not config.all_zero:
-        for i, rng in enumerate(rngs):
-            info[i] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-    sent = encode_batch(code, info)
-    llrs = np.empty(sent.shape, dtype=np.float64)
-    for i, rng in enumerate(rngs):  # channel draws follow each frame's info draws
-        llrs[i] = transmit(channel, sent[i], rng, rate)
+def _run_batch(code, channel, config: SimConfig, layer_perm, lo: int, hi: int) -> _BatchCounts:
+    _, sent, llrs = draw_frames(code, channel, config.seed, lo, hi, config.all_zero)
     decoded = _decode_batch(code, llrs, config, layer_perm)
     errs = (decoded != sent).any(axis=1)
-    corr_dec = _batch_correlations(decoded[:, None, :], llrs)[:, 0]
-    corr_sent = _batch_correlations(sent[:, None, :], llrs)[:, 0]
+    corr_dec, corr_sent = _batch_correlations(np.stack((decoded, sent), axis=1), llrs).T
     out = _BatchCounts(frames=hi - lo)
     out.errors = int(errs.sum())
     out.ties = int((errs & (corr_dec == corr_sent)).sum())
@@ -242,14 +292,13 @@ def simulate_fer(
     if config.decoder == "ml" and code.k > _dec.ML_MAX_DIMENSION:
         raise ValueError(f"k={code.k} exceeds the brute-force limit {_dec.ML_MAX_DIMENSION}")
     config = _resolve_perms(code, channel, config)
-    rate = code.k / code.n
     totals = _BatchCounts()
 
     stop_reason = "max_frames"
     lo = 0
     while lo < config.max_frames:
         hi = min(lo + config.batch, config.max_frames)
-        counts = _run_batch(code, channel, config, layer_perm, rate, lo, hi)
+        counts = _run_batch(code, channel, config, layer_perm, lo, hi)
         totals.frames += counts.frames
         totals.errors += counts.errors
         totals.ties += counts.ties

@@ -175,3 +175,12 @@ class TestSelectPermutations:
         a = select_permutations(code, 4, BiAwgn(2.0))
         b = select_permutations(code, 4, BiAwgn(2.0))
         assert a == b
+
+    def test_sampled_seeds_keyed_as_uint64(self):
+        # beyond m = 8 the candidates come from a seeded sample; seeds of 2^63
+        # or more keep distinct samples, and a negative seed is its residue
+        code = MonomialCode(9, frozenset({0, 3, 7, 17, 64, 100, 130, 255, 300, 511}))
+        sel = {s: select_permutations(code, 4, Bec(0.5), min_dist=3, seed=s) for s in (2**63, 2**63 + 1024, -5)}
+        assert sel[2**63].sampled
+        assert sel[2**63].perms != sel[2**63 + 1024].perms
+        assert sel[-5] == select_permutations(code, 4, Bec(0.5), min_dist=3, seed=2**64 - 5)

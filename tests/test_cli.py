@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,11 @@ class TestBoundsCommand:
         assert code == EXIT_INVALID
         assert "error: " in err and not calls
 
+    def test_t_beyond_m_exits_2(self, capsys):
+        code, stdout, err = invoke(capsys, "bounds", "--m", "4", "--t", "5")
+        assert code == EXIT_INVALID
+        assert "error: need 1 <= t <= m" in err and not stdout
+
     def test_k_min_zero_exits_2(self, capsys):
         code, stdout, err = invoke(capsys, "bounds", "--m", "4", "--k-min", "0")
         assert code == EXIT_INVALID
@@ -224,6 +230,25 @@ class TestSimulateCommand:
             "--max-frames", "256", "--max-errors", "100000",
         )
         assert stdout == stdout2
+
+    def test_non_integer_seed_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "c.code"
+        invoke(capsys, "construct", "--m", "3", "--t", "2", "--k", "4", "--out", str(out))
+        monkeypatch.setenv("SYMCALC_SEED", "abc")
+        code, stdout, err = invoke(capsys, "simulate", "--code", str(out), "--channel", "bec:0.3")
+        assert code == EXIT_INVALID
+        assert "error: SYMCALC_SEED='abc' is not an integer" in err and not stdout
+
+    def test_negative_seed_runs_without_warning(self, tmp_path, capsys):
+        out = tmp_path / "c.code"
+        invoke(capsys, "construct", "--m", "3", "--t", "2", "--k", "4", "--out", str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = invoke(
+                capsys, "simulate", "--code", str(out), "--channel", "awgn:1.0",
+                "--max-frames", "64", "--seed", "-5",
+            )
+        assert code == EXIT_OK
 
     def test_bad_channel_spec(self, tmp_path, capsys):
         out = tmp_path / "c.code"

@@ -20,6 +20,7 @@ from symcalc.construct import ConstructionRequest, construct_partially_symmetric
 from symcalc.decode import (
     correlation_metric,
     llr_check,
+    ml_decode_batch,
     ml_decode_bruteforce,
     ml_lower_bound_flag,
     permutation_decode,
@@ -379,6 +380,51 @@ class TestPermutationDecode:
             best = permutation_decode(code, llr, perms).metric
             singles = [sc_decode(code, llr, layer_perm=p).metric for p in perms]
             assert best == max(singles)
+
+
+def ref_ml(code: MonomialCode, llr) -> np.ndarray:
+    """Brute-force ML, one codeword at a time: the first of highest
+    correlation, in the order of the info bits read as a little-endian integer."""
+    gen = monomial_to_linear(code).generator_array().astype(np.uint8)
+    best, best_val = None, -np.inf
+    for idx in range(1 << code.k):
+        info = np.array([(idx >> i) & 1 for i in range(code.k)], dtype=np.uint8)
+        cw = (info @ gen) & 1
+        val = correlation_metric(cw, llr)
+        if val > best_val:
+            best, best_val = cw, val
+    return best
+
+
+@st.composite
+def ml_cases(draw):
+    """A random monomial code with k <= 8 and channel frames of its codewords:
+    BEC erasures, which make exact ties common, or BI-AWGN-like noise."""
+    m = draw(st.integers(0, 4))
+    masks = draw(st.sets(st.integers(0, (1 << m) - 1), max_size=8))
+    code = MonomialCode(m, frozenset(masks))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = draw(st.integers(1, 6))
+    cw = encode_batch(code, rng.integers(0, 2, (frames, code.k), dtype=np.uint8))
+    if draw(st.booleans()):
+        llrs = np.where(rng.random(cw.shape) < draw(st.floats(0.0, 1.0)), 0.0, (1.0 - 2.0 * cw) * np.inf)
+    else:
+        llrs = (1.0 - 2.0 * cw + draw(st.floats(0.1, 2.0)) * rng.standard_normal(cw.shape)) * 2.0
+    return code, llrs
+
+
+@settings(max_examples=100, deadline=None)
+@given(ml_cases(), st.integers(1, 64))
+def test_ml_batch_matches_reference_and_single_frames(case, chunk_cells):
+    """Any chunking of the codebook, and any batch, decodes each frame to the
+    reference's first maximum."""
+    code, llrs = case
+    with mock.patch.object(decode, "ML_CHUNK_CELLS", chunk_cells):
+        cws, infos = ml_decode_batch(code, llrs)
+    assert np.array_equal(cws, encode_batch(code, infos))
+    for i, llr in enumerate(llrs):
+        assert np.array_equal(cws[i], ref_ml(code, llr))
+        assert ml_decode_bruteforce(code, llr).codeword.to_array().tolist() == cws[i].tolist()
 
 
 class TestMlDecode:

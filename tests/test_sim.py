@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from symcalc.codes import MonomialCode, monomial_to_linear, rm_code
+from symcalc.codes import MonomialCode, encode_batch, monomial_to_linear, rm_code
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
 from symcalc.sim import (
     Bec,
     BiAwgn,
     SimConfig,
     SimResult,
+    draw_frames,
     fer_curve,
     frame_rng,
     noise_sigma,
@@ -60,6 +63,14 @@ class TestFrameRng:
         b = frame_rng(5, 3).standard_normal(4)
         assert np.array_equal(a, b)
 
+    def test_seeds_beyond_int64_keep_distinct_streams(self):
+        # a key list holding a value of 2^63 or more goes through float64
+        for a, b in ((2**64 - 5, 2**64 - 6), (2**63, 2**63 + 1024)):
+            assert not np.array_equal(frame_rng(a, 0).random(4), frame_rng(b, 0).random(4))
+
+    def test_negative_seed_is_its_residue_mod_2_64(self):
+        assert np.array_equal(frame_rng(-5, 3).random(4), frame_rng(2**64 - 5, 3).random(4))
+
     def test_golden_draws(self):
         # pinned Philox test vectors; a failure means the RNG stream moved
         rng = frame_rng(0, 0)
@@ -68,6 +79,58 @@ class TestFrameRng:
         assert bits.tolist() == [1, 1, 1, 0, 0, 1, 1, 0]
         assert noise[0] == pytest.approx(-1.7741885208017214, abs=1e-15)
         assert noise[1] == pytest.approx(1.3265118818830892, abs=1e-15)
+        batch_bits, _, _ = draw_frames(MonomialCode(3, frozenset(range(8))), Bec(0.5), 0, 0, 1)
+        assert batch_bits[0].tolist() == bits.tolist()
+
+
+def reference_frames(code, channel, seed, lo, hi, all_zero):
+    """Frames drawn one at a time through frame_rng, integers and transmit."""
+    info = np.zeros((hi - lo, code.k), dtype=np.uint8)
+    llrs = np.empty((hi - lo, code.n))
+    for i, f in enumerate(range(lo, hi)):
+        rng = frame_rng(seed, f)
+        if not all_zero:
+            info[i] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+        llrs[i] = transmit(channel, encode_batch(code, info[i : i + 1])[0], rng, code.k / code.n)
+    return info, llrs
+
+
+@st.composite
+def frame_cases(draw, k_mod_8):
+    """A random monomial code whose dimension is k_mod_8 modulo 8, a channel,
+    a seed (also 2^63 or more, and negative) and a frame range."""
+    m = draw(st.integers(3, 7))
+    n = 1 << m
+    k = 8 * draw(st.integers(0 if k_mod_8 else 1, (n - k_mod_8) // 8)) + k_mod_8
+    masks = draw(st.permutations(range(n)))[:k]
+    channel = draw(st.one_of(
+        st.sampled_from([Bec(0.0), Bec(0.5), Bec(1.0)]),
+        st.builds(BiAwgn, st.floats(-10.0, 20.0)),
+    ))
+    seed = draw(st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1), st.integers(-(2**63), -1)))
+    lo = draw(st.integers(0, 2**40))
+    hi = lo + draw(st.integers(1, 9))
+    return MonomialCode(m, frozenset(masks)), channel, seed, lo, hi, draw(st.booleans())
+
+
+@pytest.mark.parametrize("k_mod_8", range(8))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_draw_frames_matches_per_frame_draws(k_mod_8, data):
+    """One re-keyed generator per batch and raw-word info bits give, bit for
+    bit, the info bits and LLRs of a fresh per-frame generator."""
+    code, channel, seed, lo, hi, all_zero = data.draw(frame_cases(k_mod_8))
+    info, sent, llrs = draw_frames(code, channel, seed, lo, hi, all_zero)
+    ref_info, ref_llrs = reference_frames(code, channel, seed, lo, hi, all_zero)
+    assert info.dtype == np.uint8 and np.array_equal(info, ref_info)
+    assert np.array_equal(sent, encode_batch(code, ref_info))
+    assert np.array_equal(llrs.view(np.uint64), ref_llrs.view(np.uint64))
+
+
+@pytest.mark.parametrize("lo,hi", [(-1, 2), (5, 4), (2**64 - 1, 2**64 + 1)])
+def test_draw_frames_rejects_bad_frame_range(lo, hi):
+    with pytest.raises(ValueError, match="frame range"):
+        draw_frames(CODE_16_8, Bec(0.5), 0, lo, hi)
 
 
 class TestSimulateFer:
@@ -167,7 +230,7 @@ class TestSimulateFer:
         import symcalc.sim as sim_mod
 
         calls = []
-        monkeypatch.setattr(sim_mod, "frame_rng", lambda *key: calls.append(key) or frame_rng(*key))
+        monkeypatch.setattr(sim_mod, "draw_frames", lambda *args: calls.append(args) or draw_frames(*args))
         code = MonomialCode(5, frozenset(range(21)))
         with pytest.raises(ValueError, match="k=21"):
             simulate_fer(code, BiAwgn(2.0), SimConfig(max_frames=64, decoder="ml"))
