@@ -115,9 +115,13 @@ class BitMatrix:
     def from_array(cls, arr: np.ndarray) -> "BitMatrix":
         """Pack a (rows, cols) 0/1 array."""
         arr = np.asarray(arr, dtype=np.uint8) & 1
-        rows, cols = arr.shape
+        return cls.from_packed_bytes(np.packbits(arr, axis=1, bitorder="little"), arr.shape[1])
+
+    @classmethod
+    def from_packed_bytes(cls, packed: np.ndarray, cols: int) -> "BitMatrix":
+        """Build from (rows, nbytes) uint8 rows, bit j of byte i = column 8i + j;
+        rows shorter than the word array are zero-padded."""
         nw = _n_words(cols)
-        packed = np.packbits(arr, axis=1, bitorder="little")
         if packed.shape[1] != nw * 8:
             packed = np.pad(packed, ((0, 0), (0, nw * 8 - packed.shape[1])))
         return cls(np.ascontiguousarray(packed).view("<u8"), cols)
@@ -129,12 +133,15 @@ class BitMatrix:
     def row_ints(self) -> list[int]:
         return [_words_to_int(self._data[i]) for i in range(self.rows)]
 
+    def packed_bytes(self) -> np.ndarray:
+        """The rows as (rows, 8 * words) uint8, bit j of byte i = column 8i + j."""
+        return self._data.astype("<u8", copy=False).view(np.uint8)
+
     def to_array(self) -> np.ndarray:
         """Unpack into a (rows, cols) uint8 0/1 array."""
         if self.rows == 0:
             return np.zeros((0, self.cols), dtype=np.uint8)
-        raw = self._data.astype("<u8").view(np.uint8)
-        bits = np.unpackbits(raw, axis=1, bitorder="little")
+        bits = np.unpackbits(self.packed_bytes(), axis=1, bitorder="little")
         return np.ascontiguousarray(bits[:, : self.cols])
 
     def __eq__(self, other):

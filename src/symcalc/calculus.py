@@ -3,26 +3,34 @@
 The derivative of f in direction b is f(x) + f(x + b); it takes equal values
 on the cosets {x, x+b}, so the derived code lives on the 2^(m-1) coset
 representatives with the bit at position lowbit(b) equal to zero.
+
+A monomial code is profiled by support count: differentiating x^S along e_i
+gives x^(S - {i}) when i is in S and 0 otherwise, so its derivative dimension
+in direction i is the number of its monomials containing x_i.  A linear code
+is profiled by rank: its derivative code is built from the generator's packed
+words and reduced by GF(2) elimination.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .bitmath import BitMatrix, rref
-from .codes import LinearCode, Monomial, MonomialCode, monomial_to_linear
+from .codes import LinearCode, Monomial, MonomialCode
 
 
 @dataclass(frozen=True)
 class SymmetryProfile:
     """Dimensions of the m coordinate-direction derivatives of a code.
 
-    t counts the directions attaining the minimal dimension k_tilde; their
-    indices form target_set.
+    dims are support counts for a monomial code and derivative-code ranks for
+    a linear code.  t counts the directions attaining the minimal dimension
+    k_tilde; their indices form target_set.
     """
 
     dims: tuple[int, ...]
@@ -56,30 +64,63 @@ def _translation_index(m: int, b: int) -> np.ndarray:
     return np.arange(1 << m) ^ b
 
 
-@functools.lru_cache(maxsize=None)
-def _coset_representatives(m: int, p: int) -> np.ndarray:
-    x = np.arange(1 << m)
-    return x[((x >> p) & 1) == 0]
+_BITS = np.arange(8)
+_BYTE_BITS = (np.arange(256)[:, None] >> _BITS) & 1  # [v, r]: bit r of the byte v
+# _XOR_BITS[c][v] moves bit r of the byte v to bit r ^ c
+_XOR_BITS = [(_BYTE_BITS << (_BITS ^ c)).sum(axis=1).astype(np.uint8) for c in range(8)]
+# _KEEP_BITS[p][v] packs, in order, the four bits r of the byte v with bit p of r clear
+_KEEP_BITS = [
+    (_BYTE_BITS[:, _BITS[(_BITS >> p) & 1 == 0]] << np.arange(4)).sum(axis=1).astype(np.uint8)
+    for p in range(3)
+]
 
 
 def directional_derivative_code(code: LinearCode, b: int) -> LinearCode:
-    """The length-2^(m-1) code spanned by f(x) + f(x+b) on coset representatives."""
+    """The length-2^(m-1) code spanned by f(x) + f(x+b) on coset representatives.
+
+    Works on the generator's packed bytes: byte i holds coordinates 8i..8i+7,
+    so x + b reads byte i ^ (b >> 3) with its bits permuted by r -> r ^ (b & 7).
+    When lowbit(b) >= 3 the representatives are whole bytes; otherwise each
+    byte keeps the four bits with bit lowbit(b) clear.
+    """
+    try:
+        b = operator.index(b)
+    except TypeError:
+        raise ValueError(f"direction {b!r} is not an integer") from None
     m = code.m
     if not 0 < b < (1 << m):
         raise ValueError("direction must be a nonzero m-bit mask")
-    # coset representatives x (bit p clear) and their partners x + b
-    reps = _coset_representatives(m, (b & -b).bit_length() - 1)
-    arr = code.generator_array()
-    reduced, pivots = rref(BitMatrix.from_array(arr[:, reps] ^ arr[:, reps ^ b]))
+    p = (b & -b).bit_length() - 1
+    byte_idx = np.arange(max(1, code.n // 8))
+    words = code.generator.packed_bytes()[:, : byte_idx.size]
+    if p >= 3:
+        # representatives: the bytes with bit p - 3 of their index clear
+        reps = byte_idx[((byte_idx >> (p - 3)) & 1) == 0]
+        diff = words[:, reps] ^ _XOR_BITS[b & 7][words[:, reps ^ (b >> 3)]]
+    else:
+        full = words ^ _XOR_BITS[b & 7][words[:, byte_idx ^ (b >> 3)]]
+        halves = _KEEP_BITS[p][full]
+        if halves.shape[1] % 2:
+            halves = np.pad(halves, ((0, 0), (0, 1)))
+        diff = halves[:, 0::2] | (halves[:, 1::2] << 4)
+    reduced, pivots = rref(BitMatrix.from_packed_bytes(diff, code.n // 2))
     return LinearCode(reduced.head(len(pivots)), validate=False)
 
 
 def symmetry_profile(code: LinearCode | MonomialCode) -> SymmetryProfile:
-    """Derivative dimensions in every coordinate direction, and their minimum."""
-    if isinstance(code, MonomialCode):
-        code = monomial_to_linear(code)
+    """Derivative dimensions in every coordinate direction, and their minimum.
+
+    A monomial code's dimension in direction i is the number of its monomials
+    containing x_i (see monomial_derivative_dimension), so it builds no matrix;
+    a linear code's is the rank of its derivative code.
+    """
     m = code.m
-    dims = tuple(directional_derivative_code(code, 1 << i).k for i in range(m))
+    if m < 1:
+        raise ValueError(f"a symmetry profile needs m >= 1, got m={m}")
+    if isinstance(code, MonomialCode):
+        dims = tuple(monomial_derivative_dimension(code, i) for i in range(m))
+    else:
+        dims = tuple(directional_derivative_code(code, 1 << i).k for i in range(m))
     k_tilde = min(dims)
     targets = frozenset(i for i, d in enumerate(dims) if d == k_tilde)
     return SymmetryProfile(dims, len(targets), k_tilde, targets)

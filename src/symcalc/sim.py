@@ -189,6 +189,28 @@ class SimConfig:
         return ""
 
 
+# bounds the LLRs one batch decodes: frames x n, times the list or permutation
+# count (criterion 9's SCL-128 at 256 frames of n = 256 needs 2^23)
+BATCH_LLR_CELLS = 1 << 24
+
+
+def check_working_set(code: MonomialCode, config: SimConfig) -> None:
+    """Raise ValueError when one batch of `config` on `code` would decode more
+    than BATCH_LLR_CELLS LLRs; allocates nothing."""
+    paths = 1
+    if config.decoder == "scl":
+        paths = min(config.list_size, 1 << code.k)
+    elif config.decoder == "perm":
+        paths = len(config.perms) if config.perms is not None else config.perm_count
+    frames = min(config.batch, config.max_frames)
+    cells = frames * code.n * paths
+    if cells > BATCH_LLR_CELLS:
+        raise ValueError(
+            f"a batch of {frames} frames x n={code.n} x {paths} paths is {cells} LLRs, "
+            f"over the limit {BATCH_LLR_CELLS}; lower --batch, --L or --P"
+        )
+
+
 @dataclass(frozen=True)
 class SimResult:
     frames: int
@@ -291,6 +313,7 @@ def simulate_fer(
     start = time.perf_counter()
     if config.decoder == "ml" and code.k > _dec.ML_MAX_DIMENSION:
         raise ValueError(f"k={code.k} exceeds the brute-force limit {_dec.ML_MAX_DIMENSION}")
+    check_working_set(code, config)
     config = _resolve_perms(code, channel, config)
     totals = _BatchCounts()
 
@@ -340,6 +363,7 @@ def fer_curve(
     """One simulation per channel grid point."""
     if not channels:
         raise ValueError("channel grid is empty")
+    check_working_set(code, config)
     points = []
     for ch in channels:
         cfg = _resolve_perms(code, ch, config)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symcalc.bitmath import GF2mField, rank
+from symcalc.bitmath import BitMatrix, GF2mField, rank, rref
+from symcalc.bounds import representable_dimensions
 from symcalc.calculus import (
     derivative_subcode_dim,
     directional_derivative_code,
@@ -13,6 +16,7 @@ from symcalc.calculus import (
     symmetry_profile,
 )
 from symcalc.codes import (
+    LinearCode,
     Monomial,
     MonomialCode,
     ebch_code,
@@ -48,6 +52,16 @@ class TestMonomialPartial:
         assert {im.mask for im in images} == {0b1000, 0b0000}
 
 
+def ref_derivative_generator(code, b):
+    """The derivative's reduced generator through one 0/1 byte per bit:
+    gather the coset representatives x and their partners x + b, XOR, pack."""
+    x = np.arange(code.n)
+    reps = x[((x >> ((b & -b).bit_length() - 1)) & 1) == 0]
+    arr = code.generator_array()
+    reduced, pivots = rref(BitMatrix.from_array(arr[:, reps] ^ arr[:, reps ^ b]))
+    return reduced.head(len(pivots))
+
+
 class TestDirectionalDerivative:
     def test_direction_zero_rejected(self):
         code = monomial_to_linear(rm_code(1, 3))
@@ -56,6 +70,22 @@ class TestDirectionalDerivative:
         for b in (-1, 8):
             with pytest.raises(ValueError):
                 directional_derivative_code(code, b)
+
+    @pytest.mark.parametrize("b", [2.0, "1", None])
+    def test_non_integer_direction_rejected(self, b):
+        code = monomial_to_linear(rm_code(1, 3))
+        with pytest.raises(ValueError, match="not an integer"):
+            directional_derivative_code(code, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_packed_words_match_unpacked_reference(self, m, data):
+        n = 1 << m
+        k = data.draw(st.integers(0, n))
+        rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+        code = LinearCode.from_spanning_rows(rows, n)
+        for b in range(1, n):
+            assert directional_derivative_code(code, b).generator == ref_derivative_generator(code, b)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_rate_one_derivatives_are_rate_one(self, m):
@@ -101,7 +131,53 @@ class TestDirectionalDerivative:
                 )
 
 
+def benchmark_grid_points(m=9, per_t=3):
+    """The algebra-grid benchmark's slice: first, middle and last representable k per t."""
+    points = []
+    for t in range(1, m + 1):
+        ks = representable_dimensions(m, t)
+        picks = {ks[round(i * (len(ks) - 1) / (per_t - 1))] for i in range(per_t)}
+        points.extend((m, t, k) for k in sorted(picks))
+    return points
+
+
+class TestRankOracle:
+    """Monomial codes are profiled by support count; the rank path on their
+    evaluation matrices must agree."""
+
+    def test_constructed_grid_codes(self):
+        points = [
+            (m, t, k)
+            for m in range(1, 8)
+            for t in range(1, m + 1)
+            for k in representable_dimensions(m, t)
+        ]
+        points += benchmark_grid_points()
+        assert sum(1 for p in points if p[0] == 9) == 27
+        for m, t, k in points:
+            code = construct_partially_symmetric(ConstructionRequest(m=m, t=t, k=k))
+            assert symmetry_profile(code) == symmetry_profile(monomial_to_linear(code)), (m, t, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_random_monomial_codes(self, m, data):
+        n = 1 << m
+        k = data.draw(st.sampled_from([0, n]) | st.integers(0, n))
+        masks = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        code = MonomialCode(m, frozenset(masks))
+        assert symmetry_profile(code) == symmetry_profile(monomial_to_linear(code))
+
+
 class TestSymmetryProfile:
+    @pytest.mark.parametrize(
+        "code",
+        [MonomialCode(0, frozenset({0})), LinearCode(BitMatrix.from_rows([1], 1))],
+        ids=["monomial", "linear"],
+    )
+    def test_m_zero_rejected(self, code):
+        with pytest.raises(ValueError, match="m >= 1"):
+            symmetry_profile(code)
+
     def test_rm25_fully_symmetric(self):
         prof = symmetry_profile(rm_code(2, 5))
         assert prof.t == 5

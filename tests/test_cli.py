@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcalc.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, run
-from symcalc.codes import MAX_M, MonomialCode, load_code, save_code
+from symcalc.codes import MAX_M, MonomialCode, load_code, rm_code, save_code
 from symcalc.calculus import symmetry_profile
 
 WORKED = {0, 1, 2, 4, 8, 9, 10, 12}
@@ -69,6 +69,15 @@ class TestAnalyzeCommand:
         dims = [int(line.split(",")[1]) for line in lines[1:-1]]
         assert tuple(dims) == prof.dims
         assert lines[-1] == f"t={prof.t},k_tilde={prof.k_tilde}"
+
+    def test_rm_1_16_profiled_symbolically(self, tmp_path, capsys):
+        out = tmp_path / "rm.code"
+        save_code(rm_code(1, 16), out)
+        code, stdout, _ = invoke(capsys, "analyze", "--code", str(out))
+        assert code == EXIT_OK
+        lines = stdout.strip().splitlines()
+        assert lines[1:-1] == [f"{i},1" for i in range(16)]
+        assert lines[-1] == "t=16,k_tilde=1"
 
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "analyze", "--code", "/nonexistent.code")
@@ -249,6 +258,16 @@ class TestSimulateCommand:
                 "--max-frames", "64", "--seed", "-5",
             )
         assert code == EXIT_OK
+
+    def test_oversized_batch_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "c.code"
+        save_code(MonomialCode(8, frozenset(range(128))), out)
+        code, stdout, err = invoke(
+            capsys, "simulate", "--code", str(out), "--channel", "awgn:2.0", "--decoder", "scl",
+            "--L", "32", "--batch", "1000000000", "--max-frames", "1000000",
+        )
+        assert code == EXIT_INVALID and not stdout
+        assert err.startswith("error: a batch of 1000000 frames") and err.count("\n") == 1
 
     def test_bad_channel_spec(self, tmp_path, capsys):
         out = tmp_path / "c.code"

@@ -9,10 +9,12 @@ from scipy.stats import norm
 from symcalc.codes import MonomialCode, encode_batch, monomial_to_linear, rm_code
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
 from symcalc.sim import (
+    BATCH_LLR_CELLS,
     Bec,
     BiAwgn,
     SimConfig,
     SimResult,
+    check_working_set,
     draw_frames,
     fer_curve,
     frame_rng,
@@ -235,6 +237,54 @@ class TestSimulateFer:
         with pytest.raises(ValueError, match="k=21"):
             simulate_fer(code, BiAwgn(2.0), SimConfig(max_frames=64, decoder="ml"))
         assert calls == []
+
+
+class TestWorkingSet:
+    CODE_256 = MonomialCode(8, frozenset(range(128)))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimConfig(decoder="scl", list_size=32, batch=10**9, max_frames=10**6),
+            SimConfig(decoder="perm", perm_count=10**4, batch=256),
+            SimConfig(decoder="sc", batch=1 << 17),
+        ],
+        ids=["scl", "perm", "sc"],
+    )
+    def test_oversized_batch_rejected_before_any_frame(self, monkeypatch, config):
+        import tracemalloc
+
+        import symcalc.channelconstruct as cc_mod
+        import symcalc.sim as sim_mod
+
+        calls = []
+        monkeypatch.setattr(sim_mod, "draw_frames", lambda *args: calls.append(args))
+        monkeypatch.setattr(cc_mod, "select_permutations", lambda *args, **kw: calls.append(args))
+        tracemalloc.start()
+        try:
+            for run in (simulate_fer, fer_curve):
+                channel = BiAwgn(2.0)
+                with pytest.raises(ValueError, match=f"over the limit {BATCH_LLR_CELLS}"):
+                    run(self.CODE_256, channel if run is simulate_fer else [channel], config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "code,config",
+        [
+            # criterion 9's largest list, and the benchmark's SCL-256 on the (16,8) code
+            (CODE_256, SimConfig(decoder="scl", list_size=128)),
+            (CODE_16_8, SimConfig(decoder="scl", list_size=256)),
+            (CODE_256, SimConfig(decoder="perm", perm_count=32)),
+            # the list never exceeds the 2^k codewords, nor the batch the frame budget
+            (CODE_16_8, SimConfig(decoder="scl", list_size=10**9)),
+            (CODE_256, SimConfig(decoder="scl", list_size=32, batch=10**9, max_frames=256)),
+        ],
+    )
+    def test_used_configurations_pass(self, code, config):
+        check_working_set(code, config)
 
 
 class TestLength256:
