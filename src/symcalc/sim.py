@@ -190,8 +190,8 @@ class SimConfig:
 
 
 # bounds the LLRs one batch decodes: frames x n, times the list or permutation
-# count (criterion 9's SCL-128 at 256 frames of n = 256 needs 2^23)
-BATCH_LLR_CELLS = 1 << 24
+# count; the one constant lives in decode, which scl_decode_batch checks too
+BATCH_LLR_CELLS = _dec.BATCH_LLR_CELLS
 
 
 def check_working_set(code: MonomialCode, config: SimConfig) -> None:

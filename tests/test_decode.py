@@ -30,7 +30,7 @@ from symcalc.decode import (
     scl_decode,
     scl_decode_batch,
 )
-from symcalc.sim import Bec, BiAwgn, frame_rng, transmit
+from symcalc.sim import Bec, BiAwgn, frame_rng, noise_sigma, transmit
 
 
 def transform(u: BitVec) -> BitVec:
@@ -239,6 +239,61 @@ def test_scl_batch_matches_reference(case, L):
     assert_reencodes(code, u, cw)
 
 
+SPECIAL_LLRS = [0.0, -0.0, 5e-324, -5e-324, 1e30, -1e30, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("mask_dtype", [bool, np.uint8])
+@pytest.mark.parametrize("shape", [(16, 3, 5), (16, 15)], ids=["sc-rows", "scl-rows"])
+def test_negate_where_flips_sign_bit_like_masked_negative(shape, mask_dtype):
+    """On the first half of a (len, P, B) or (len, B*p) LLR array, as the SC
+    and SCL recursions pass it, the sign-bit XOR equals np.negative with a
+    where mask bit for bit, signed zeros, subnormals, clamps and infinities
+    included, and leaves the other half alone."""
+    rng = np.random.default_rng(5)
+    lam = rng.standard_normal(shape)
+    flat = lam.reshape(-1)
+    flat[rng.choice(flat.size, 4 * len(SPECIAL_LLRS), replace=False)] = np.repeat(SPECIAL_LLRS, 4)
+    h = shape[0] // 2
+    mask = (rng.random((h,) + shape[1:]) < 0.5).astype(mask_dtype)
+    ref = lam.copy()
+    np.negative(ref[:h], out=ref[:h], where=mask.astype(bool))
+    decode._negate_where(lam[:h], mask)
+    assert np.array_equal(lam.view(np.uint64), ref.view(np.uint64))
+
+
+class TestLength256Reference:
+    """The engine against the reference recursions at the benchmark's size,
+    m = 8, beyond the m <= 6 of the hypothesis cases."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        code = construct_partially_symmetric(ConstructionRequest(m=8, t=5, k=128, rm_order=4))
+        rng = np.random.default_rng(256)
+        cw = encode_batch(code, rng.integers(0, 2, (32, code.k), dtype=np.uint8))
+        signs = 1.0 - 2.0 * cw
+        sigma = noise_sigma(2.0, code.k / code.n)
+        awgn = 2.0 / sigma**2 * (signs[:16] + sigma * rng.standard_normal((16, code.n)))
+        bec = np.where(rng.random((16, code.n)) < 0.4, 0.0, signs[16:] * np.inf)
+        perms = [tuple(int(v) for v in rng.permutation(8)) for _ in range(3)]
+        return code, np.vstack([awgn, bec]), perms
+
+    def test_sc_orders_match_reference(self, case):
+        code, llrs, perms = case
+        cws, ties = sc_decode_orders(code, llrs, perms)
+        assert ties[16:].any()  # the BEC frames reach zero-LLR decisions
+        for i, perm in enumerate(perms):
+            ref_cw, _, ref_ties = ref_sc_batch(code, llrs, perm)
+            assert np.array_equal(cws[:, i], ref_cw) and np.array_equal(ties[:, i], ref_ties)
+
+    def test_scl8_matches_reference(self, case):
+        code, llrs, perms = case
+        for perm in perms:
+            cw, u, penalties = scl_decode_batch(code, llrs, 8, perm)
+            ref_cw, ref_u, ref_penalties = ref_scl_batch(code, llrs, 8, perm)
+            assert np.array_equal(cw, ref_cw) and np.array_equal(u, ref_u)
+            assert np.array_equal(penalties.view(np.uint64), ref_penalties.view(np.uint64))
+
+
 class TestScDecode:
     def test_noiseless_rm13(self):
         code = rm_code(1, 3)
@@ -301,6 +356,32 @@ class TestScDecode:
 
 
 class TestSclDecode:
+    def test_oversized_list_rejected_before_any_work(self):
+        """frames x n x min(L, 2^k) over BATCH_LLR_CELLS raises at once:
+        L = 2^62 on a k = 128 code would otherwise double its paths at every
+        info leaf without limit."""
+        import tracemalloc
+
+        code = MonomialCode(8, frozenset(range(128)))
+        llrs = np.ones((16, code.n))
+        tracemalloc.start()
+        limit = f"over the limit {decode.BATCH_LLR_CELLS}"
+        try:
+            with pytest.raises(ValueError, match=limit):
+                scl_decode_batch(code, llrs, 2**62)
+            with pytest.raises(ValueError, match=limit):
+                scl_decode(code, llrs[0], 2**62)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_list_capped_at_codeword_count(self):
+        """L beyond 2^k keeps every codeword and passes the size check."""
+        code = rm_code(1, 3)
+        cw, _, _ = scl_decode_batch(code, np.ones((2, code.n)), 2**62)
+        assert cw.shape == (2, 1 << code.k, code.n)
+
     def test_list_size_one_equals_sc(self):
         code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
         for f in range(10_000):
