@@ -342,8 +342,13 @@ class GF2mField:
     def size(self) -> int:
         return 1 << self.m
 
+    def _check(self, *elements: int) -> None:
+        if any(not 0 <= x < self.size for x in elements):
+            raise ValueError("element out of range")
+
     def mul(self, a: int, b: int) -> int:
         """Carry-less product reduced modulo the primitive polynomial."""
+        self._check(a, b)
         res = 0
         x = a
         while b:
@@ -356,6 +361,10 @@ class GF2mField:
         return res
 
     def pow(self, a: int, e: int) -> int:
+        """a^e for a field element a and an exponent e >= 0."""
+        self._check(a)
+        if e < 0:
+            raise ValueError("exponent must be non-negative")
         res, base = 1, a
         while e:
             if e & 1:
@@ -390,6 +399,4 @@ class GF2mField:
 
 def gf2m_mul(fld: GF2mField, a: int, b: int) -> int:
     """Product of two field elements (see GF2mField.mul)."""
-    if a >= fld.size or b >= fld.size or a < 0 or b < 0:
-        raise ValueError("element out of range")
     return fld.mul(a, b)

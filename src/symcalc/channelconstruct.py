@@ -100,15 +100,14 @@ def _ga_error_probs(mu: np.ndarray) -> np.ndarray:
     return 0.5 * erfc(np.sqrt(np.maximum(mu, 0.0)) / 2.0)
 
 
-def ga_frozen_set(m: int, k: int, ebn0_db: float, code_rate: float | None = None) -> FrozenSpec:
+def ga_frozen_set(m: int, k: int, ebn0_db: float) -> FrozenSpec:
     """Freeze the 2^m - k least reliable positions for a BI-AWGN channel."""
     check_m(m)
     n = 1 << m
     if not 0 < k <= n:
         raise ValueError("need 0 < k <= 2^m")
     check_ebn0(ebn0_db)
-    rate = code_rate if code_rate is not None else k / n
-    sigma = noise_sigma(ebn0_db, rate)
+    sigma = noise_sigma(ebn0_db, k / n)
     mu = ga_llr_means(m, 2.0 / sigma**2)
     pe = _ga_error_probs(mu)
     order = np.lexsort((np.arange(n), -pe))  # worst first, ties by index
@@ -166,9 +165,17 @@ def sc_error_estimate(
     """Union-bound SC frame-error estimate under a layer permutation."""
     if isinstance(code, FrozenSpec):
         code = polar_code(code)
-    pe = mask_error_probs(code.m, channel, perm, rate=code.k / code.n)
-    log_ok = np.log1p(-np.minimum(pe[code.sorted_masks()], 1.0 - 1e-300))
-    return float(-np.expm1(log_ok.sum()))
+    perm = resolve_layer_order(code.m, perm)
+    return float(_union_bound_scores(code, channel, np.array([perm], dtype=np.int64))[0])
+
+
+def _union_bound_scores(code: MonomialCode, channel: ChannelModel, perms: np.ndarray) -> np.ndarray:
+    """Union-bound SC frame-error estimate of the code under each of the
+    (P, m) layer orders: 1 - prod(1 - p_v) over its masks v."""
+    branch = _branch_error_probs(code.m, channel, code.k / code.n)
+    log_ok = np.log1p(-np.minimum(branch, 1.0 - 1e-300))
+    pos = branch_positions(np.array(code.sorted_masks(), dtype=np.int64), perms)
+    return -np.expm1(log_ok[pos].sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -217,10 +224,7 @@ def select_permutations(
     else:
         candidates = [tuple(p) for p in itertools.permutations(range(m))]
 
-    branch = _branch_error_probs(m, channel, code.k / code.n)
-    log_ok = np.log1p(-np.minimum(branch, 1.0 - 1e-300))
-    pos = branch_positions(np.array(code.sorted_masks()), np.array(candidates, dtype=np.int64))
-    scores = (-np.expm1(log_ok[pos].sum(axis=1))).tolist()
+    scores = _union_bound_scores(code, channel, np.array(candidates, dtype=np.int64)).tolist()
 
     ranked = sorted(zip(scores, candidates))
     kept: list[tuple[int, ...]] = []

@@ -255,21 +255,23 @@ def construct_partially_symmetric(req: ConstructionRequest) -> MonomialCode:
     return code
 
 
-def _is_achievable(m: int, t: int, k: int, rm_order: int | None) -> bool:
-    masks = _initial_masks(m, rm_order)
-    total = len(masks)
-    if not 0 < k <= total:
+def _tier_sizes(m: int, t: int, rm_order: int | None) -> list[int]:
+    """Initial masks in each tau tier 0..t: the C(t, l) target parts of tier l
+    times the non-target parts that the degree cap leaves them."""
+    cap = m if rm_order is None else rm_order
+    rest = [math.comb(m - t, j) for j in range(m - t + 1)]
+    return [math.comb(t, l) * sum(rest[: max(cap - l + 1, 0)]) for l in range(t + 1)]
+
+
+def _is_achievable(k: int, tiers: list[int]) -> bool:
+    """Whether dimension k is achievable given the tau tier sizes; O(t)."""
+    t = len(tiers) - 1
+    k_prime = sum(tiers)
+    if not tiers[0] <= k <= k_prime:  # tier 0 holds mask 0, so k >= 1
         return False
-    t_mask = (1 << t) - 1
-    tau_counts = [0] * (t + 1)
-    for v in masks:
-        tau_counts[(v & t_mask).bit_count()] += 1
-    if k < tau_counts[0]:
-        return False
-    k_prime = total
     l_hat = t
-    while l_hat >= 1 and k_prime - tau_counts[l_hat] >= k:
-        k_prime -= tau_counts[l_hat]
+    while l_hat >= 1 and k_prime - tiers[l_hat] >= k:
+        k_prime -= tiers[l_hat]
         l_hat -= 1
     if k_prime == k:
         return True
@@ -277,21 +279,15 @@ def _is_achievable(m: int, t: int, k: int, rm_order: int | None) -> bool:
 
 
 def _nearest_achievable(req: ConstructionRequest) -> tuple[bool, int | None, int | None]:
-    if _is_achievable(req.m, req.t, req.k, req.rm_order):
+    tiers = _tier_sizes(req.m, req.t, req.rm_order)
+    if _is_achievable(req.k, tiers):
         return True, None, None
-    below = next(
-        (k for k in range(req.k - 1, 0, -1) if _is_achievable(req.m, req.t, k, req.rm_order)),
-        None,
-    )
-    limit = len(_initial_masks(req.m, req.rm_order))
-    above = next(
-        (k for k in range(req.k + 1, limit + 1) if _is_achievable(req.m, req.t, k, req.rm_order)),
-        None,
-    )
+    below = next((k for k in range(req.k - 1, 0, -1) if _is_achievable(k, tiers)), None)
+    above = next((k for k in range(req.k + 1, sum(tiers) + 1) if _is_achievable(k, tiers)), None)
     return False, below, above
 
 
 def achievable_dimensions(m: int, t: int, rm_order: int | None = None) -> list[int]:
     """All dimensions the construction can hit for these parameters."""
-    limit = len(_initial_masks(m, rm_order))
-    return [k for k in range(1, limit + 1) if _is_achievable(m, t, k, rm_order)]
+    tiers = _tier_sizes(m, t, rm_order)
+    return [k for k in range(1, sum(tiers) + 1) if _is_achievable(k, tiers)]

@@ -95,6 +95,34 @@ class DecodeResult:
     ties: int = 0
 
 
+def _single_frame_result(codewords: np.ndarray, llr: np.ndarray, u=None, ties: int = 0) -> DecodeResult:
+    """The DecodeResult of one frame's candidate codewords (c, n): each is
+    scored by correlation_metric and they are ranked by a stable sort on
+    -metric, so the first of the best wins.  u defaults to the best
+    codeword's coefficient vector."""
+    metrics = np.array([correlation_metric(cw, llr) for cw in codewords])
+    order = np.argsort(-metrics, kind="stable")
+    candidates = tuple((BitVec.from_array(codewords[i]), float(metrics[i])) for i in order)
+    codeword, metric = candidates[0]
+    if u is None:
+        u = kronecker_transform_array(codewords[order[0]])
+    return DecodeResult(codeword, BitVec.from_array(u), metric, candidates, ties)
+
+
+def check_working_set(code: LinearCode | MonomialCode, frames: int, paths: int = 1, ml: bool = False) -> None:
+    """Raise ValueError, allocating nothing, when decoding `frames` frames with
+    `paths` list paths or layer orders each would hold more than
+    BATCH_LLR_CELLS LLRs, or when ml is set and k exceeds ML_MAX_DIMENSION."""
+    if ml and code.k > ML_MAX_DIMENSION:
+        raise ValueError(f"k={code.k} exceeds the brute-force limit {ML_MAX_DIMENSION}")
+    cells = frames * code.n * paths
+    if cells > BATCH_LLR_CELLS:
+        raise ValueError(
+            f"a batch of {frames} frames x n={code.n} x {paths} paths is {cells} LLRs, "
+            f"over the limit {BATCH_LLR_CELLS}; lower the batch, list size or order count"
+        )
+
+
 # LLRs (frames x layer orders x n) in one pass of the SC recursion: 2048
 # frame-order rows at n = 256, and never fewer than one order
 GROUP_LLRS = 2048 * 256
@@ -221,10 +249,8 @@ def sc_decode(
     min_sum: bool = False,
 ) -> DecodeResult:
     """Successive cancellation decoding of a single frame."""
-    cw, u, ties = sc_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :], layer_perm, min_sum)
-    codeword = BitVec.from_array(cw[0])
-    metric = correlation_metric(cw[0], llr)
-    return DecodeResult(codeword, BitVec.from_array(u[0]), metric, ((codeword, metric),), int(ties[0]))
+    cw, _, ties = sc_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :], layer_perm, min_sum)
+    return _single_frame_result(cw, llr, ties=int(ties[0]))
 
 
 def _fork(lam0, metrics, L):
@@ -266,45 +292,35 @@ def _fork(lam0, metrics, L):
     return bits.view(np.uint8).ravel(), kept[:, :L], (first + order - p * bits).ravel()
 
 
-def _frozen_metrics(lam: np.ndarray, metrics: np.ndarray, min_sum: bool) -> np.ndarray:
-    """Path metrics after a subtree frozen on every path: all its bits are 0.
-    Overwrites lam.  The penalty stays np.logaddexp, for the libm reason
-    given in _fork."""
-    if lam.shape[0] == 1:
-        return metrics + np.logaddexp(0.0, -lam[0].reshape(metrics.shape))
-    h = lam.shape[0] // 2
-    a, c = lam[:h], lam[h:]
-    metrics = _frozen_metrics(llr_check(a, c, min_sum), metrics, min_sum)
-    return _frozen_metrics(np.add(c, a, out=a), metrics, min_sum)
-
-
 def _scl_rec(lam: np.ndarray, metrics: np.ndarray, info: np.ndarray, L: int, min_sum: bool):
-    """SC list over a subtree with at least one info leaf; overwrites lam.
+    """SC list over a subtree; overwrites lam.
 
     lam is (len, B*p): row b*p + j holds path j of frame b, whose metric is
     metrics[b, j].  Returns the surviving paths' bits (len, B*p'), their
-    metrics (B, p') and their parents as rows of lam.  Frozen subtrees only
-    add to the metrics and keep every path in place, so nothing is gathered
-    for them.
+    metrics (B, p') and their parents as rows of lam.  A frozen leaf adds
+    its bit-0 penalty, np.logaddexp for the libm reason given in _fork, to
+    every path.  A subtree frozen on every path keeps each path in place and
+    returns None bits and None parents, so nothing is gathered for it.
     """
     length = lam.shape[0]
     if length == 1:
+        if not info[0]:
+            return None, metrics + np.logaddexp(0.0, -lam[0].reshape(metrics.shape)), None
         bits, met, par = _fork(lam[0].reshape(metrics.shape), metrics, L)
         return bits[None, :], met, par
     h = length // 2
-    cw0 = par1 = None
-    if info[:h].any():
-        cw0, met1, par1 = _scl_rec(llr_check(lam[:h], lam[h:], min_sum), metrics, info[:h], L, min_sum)
+    cw0, met1, par1 = _scl_rec(llr_check(lam[:h], lam[h:], min_sum), metrics, info[:h], L, min_sum)
+    if cw0 is not None:
         lam = np.take(lam, par1, axis=1)
         _negate_where(lam[:h], cw0)
-    else:
-        met1 = _frozen_metrics(llr_check(lam[:h], lam[h:], min_sum), metrics, min_sum)
     lg = np.add(lam[h:], lam[:h], out=lam[:h])  # c + (1 - 2 bit) a
-    if not info[h:].any():
-        bits = np.zeros((length, lam.shape[1]), dtype=np.uint8)
-        bits[:h] = cw0
-        return bits, _frozen_metrics(lg, met1, min_sum), par1
     cw1, met2, par2 = _scl_rec(lg, met1, info[h:], L, min_sum)
+    if cw1 is None:
+        if cw0 is None:
+            return None, met2, None
+        bits = np.zeros((length, cw0.shape[1]), dtype=np.uint8)
+        bits[:h] = cw0
+        return bits, met2, par1
     bits = np.empty((length, cw1.shape[1]), dtype=np.uint8)
     bits[h:] = cw1
     if cw0 is None:
@@ -329,20 +345,12 @@ def scl_decode_batch(
     if L < 1:
         raise ValueError("list size must be at least 1")
     lam = _llr_batch(code, llrs)
-    paths = min(L, 1 << code.k)
-    cells = lam.shape[0] * code.n * paths
-    if cells > BATCH_LLR_CELLS:
-        raise ValueError(
-            f"{lam.shape[0]} frames x n={code.n} x {paths} paths is {cells} LLRs, "
-            f"over the limit {BATCH_LLR_CELLS}"
-        )
+    check_working_set(code, lam.shape[0], min(L, 1 << code.k))
     coord, inverse, info = _setup(code.m, code.gen_set, resolve_layer_order(code.m, layer_perm))
     lam = np.ascontiguousarray(lam.T[coord])  # (n, B)
-    metrics = np.zeros((lam.shape[1], 1))
-    if info.any():
-        bits, penalties, _ = _scl_rec(lam, metrics, info, L, min_sum)
-    else:
-        bits, penalties = np.zeros(lam.shape, dtype=np.uint8), _frozen_metrics(lam, metrics, min_sum)
+    bits, penalties, _ = _scl_rec(lam, np.zeros((lam.shape[1], 1)), info, L, min_sum)
+    if bits is None:  # k = 0: the one path is the zero word
+        bits = np.zeros(lam.shape, dtype=np.uint8)
     codewords = np.ascontiguousarray(bits[inverse].T).reshape(penalties.shape + (code.n,))
     return codewords, kronecker_transform_array(codewords), penalties
 
@@ -355,21 +363,8 @@ def scl_decode(
     min_sum: bool = False,
 ) -> DecodeResult:
     """SC list decoding; the returned codeword is the closest list entry."""
-    llr = np.asarray(llr, dtype=np.float64)
-    cw, u, penalties = scl_decode_batch(code, llr[None, :], L, layer_perm, min_sum)
-    cw, u, penalties = cw[0], u[0], penalties[0]
-    metrics = np.array([correlation_metric(cw[i], llr) for i in range(cw.shape[0])])
-    order = np.lexsort((penalties, np.arange(len(metrics)), -metrics))
-    candidates = tuple(
-        (BitVec.from_array(cw[i]), float(metrics[i])) for i in order
-    )
-    best = int(order[0])
-    return DecodeResult(
-        BitVec.from_array(cw[best]),
-        BitVec.from_array(u[best]),
-        float(metrics[best]),
-        candidates,
-    )
+    cws = scl_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :], L, layer_perm, min_sum)[0][0]
+    return _single_frame_result(cws, llr)
 
 
 def permutation_decode(
@@ -378,18 +373,8 @@ def permutation_decode(
     perms: Sequence[Sequence[int]],
 ) -> DecodeResult:
     """SC decode under each layer order and keep the closest codeword."""
-    llr = np.asarray(llr, dtype=np.float64)
-    cws = sc_decode_orders(code, llr[None, :], perms)[0][0]
-    metrics = np.array([correlation_metric(cw, llr) for cw in cws])
-    best = int(np.argmax(metrics))  # first occurrence wins ties
-    order = np.lexsort((np.arange(len(metrics)), -metrics))
-    candidates = tuple((BitVec.from_array(cws[i]), float(metrics[i])) for i in order)
-    return DecodeResult(
-        BitVec.from_array(cws[best]),
-        BitVec.from_array(kronecker_transform_array(cws[best])),
-        float(metrics[best]),
-        candidates,
-    )
+    cws = sc_decode_orders(code, np.asarray(llr, dtype=np.float64)[None, :], perms)[0][0]
+    return _single_frame_result(cws, llr)
 
 
 @functools.lru_cache(maxsize=32)
@@ -410,8 +395,7 @@ def ml_decode_batch(code: LinearCode | MonomialCode, llrs: np.ndarray) -> tuple[
     against all B frames with an einsum whose per-frame sums do not depend on
     B, so a frame decodes the same alone or in any batch.
     """
-    if code.k > ML_MAX_DIMENSION:
-        raise ValueError(f"k={code.k} exceeds the brute-force limit {ML_MAX_DIMENSION}")
+    check_working_set(code, 0, ml=True)  # k only: ML_CHUNK_CELLS bounds the chunks
     if isinstance(code, MonomialCode):
         gen = _monomial_generator(code.m, code.gen_set)
     else:
@@ -442,19 +426,13 @@ def ml_decode_batch(code: LinearCode | MonomialCode, llrs: np.ndarray) -> tuple[
 
 
 def ml_decode_bruteforce(code: LinearCode | MonomialCode, llr: np.ndarray) -> DecodeResult:
-    """Exact maximum-likelihood decoding of one frame: `ml_decode_batch` with B = 1."""
-    llr = np.asarray(llr, dtype=np.float64)
-    cws, infos = ml_decode_batch(code, llr[None, :])
-    cw, info_bits = cws[0], infos[0]
-    metric = correlation_metric(cw, llr)
-    codeword = BitVec.from_array(cw)
-    if isinstance(code, MonomialCode):
-        u = np.zeros(code.n, dtype=np.uint8)
-        u[code.sorted_masks()] = info_bits
-        u_vec = BitVec.from_array(u)
-    else:
-        u_vec = BitVec.from_array(info_bits)
-    return DecodeResult(codeword, u_vec, metric, ((codeword, metric),))
+    """Exact maximum-likelihood decoding of one frame: `ml_decode_batch` with B = 1.
+
+    u is the coefficient vector for a monomial code and the info bits (one per
+    generator row) for a linear code.
+    """
+    cws, infos = ml_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :])
+    return _single_frame_result(cws, llr, u=None if isinstance(code, MonomialCode) else infos[0])
 
 
 def ml_lower_bound_flag(

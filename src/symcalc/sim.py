@@ -190,25 +190,21 @@ class SimConfig:
 
 
 # bounds the LLRs one batch decodes: frames x n, times the list or permutation
-# count; the one constant lives in decode, which scl_decode_batch checks too
+# count; the one constant and its check live in decode
 BATCH_LLR_CELLS = _dec.BATCH_LLR_CELLS
 
 
 def check_working_set(code: MonomialCode, config: SimConfig) -> None:
     """Raise ValueError when one batch of `config` on `code` would decode more
-    than BATCH_LLR_CELLS LLRs; allocates nothing."""
+    than BATCH_LLR_CELLS LLRs, or ML would enumerate more than
+    2^ML_MAX_DIMENSION codewords; allocates nothing."""
     paths = 1
     if config.decoder == "scl":
         paths = min(config.list_size, 1 << code.k)
     elif config.decoder == "perm":
         paths = len(config.perms) if config.perms is not None else config.perm_count
     frames = min(config.batch, config.max_frames)
-    cells = frames * code.n * paths
-    if cells > BATCH_LLR_CELLS:
-        raise ValueError(
-            f"a batch of {frames} frames x n={code.n} x {paths} paths is {cells} LLRs, "
-            f"over the limit {BATCH_LLR_CELLS}; lower --batch, --L or --P"
-        )
+    _dec.check_working_set(code, frames, paths, ml=config.decoder == "ml")
 
 
 @dataclass(frozen=True)
@@ -311,8 +307,6 @@ def simulate_fer(
     make the outcome independent of batch size.
     """
     start = time.perf_counter()
-    if config.decoder == "ml" and code.k > _dec.ML_MAX_DIMENSION:
-        raise ValueError(f"k={code.k} exceeds the brute-force limit {_dec.ML_MAX_DIMENSION}")
     check_working_set(code, config)
     config = _resolve_perms(code, channel, config)
     totals = _BatchCounts()

@@ -261,6 +261,22 @@ class TestGF2m:
     def test_table_polynomials_are_primitive(self, m):
         GF2mField(m)  # constructor validates irreducibility and the order
 
+    def test_out_of_range_element_rejected(self):
+        fld = GF2mField(4)
+        for a, b in ((99, 3), (3, 16), (-1, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                fld.mul(a, b)
+            with pytest.raises(ValueError, match="out of range"):
+                gf2m_mul(fld, a, b)
+        with pytest.raises(ValueError, match="out of range"):
+            fld.pow(16, 0)
+
+    def test_negative_exponent_rejected(self):
+        """-1 >> 1 == -1, so a negative exponent would never leave the
+        square-and-multiply loop."""
+        with pytest.raises(ValueError, match="non-negative"):
+            GF2mField(4).pow(2, -1)
+
     def test_non_primitive_rejected(self):
         # x^4 + x^3 + x^2 + x + 1 is irreducible but has order 5
         with pytest.raises(ValueError):

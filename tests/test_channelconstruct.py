@@ -125,6 +125,21 @@ class TestMaskErrorProbs:
         swapped = sc_error_estimate(code, (3, 1, 2, 0), Bec(0.5))  # target 0 <-> non-target 3
         assert identity != swapped
 
+    @pytest.mark.parametrize("m", [3, 5, 8])
+    def test_estimate_is_per_mask_union_bound(self, m):
+        """The batched scorer that sc_error_estimate and select_permutations
+        share equals 1 - prod(1 - p_v) over mask_error_probs, taken one
+        layer order at a time, bit for bit."""
+        rng = np.random.default_rng(m)
+        code = MonomialCode(m, frozenset(int(v) for v in range(1 << m) if rng.random() < 0.5))
+        rate = code.k / code.n
+        for channel in (Bec(0.3), BiAwgn(1.5)):
+            sel = select_permutations(code, 6, channel, min_dist=0)
+            for perm, score in zip(sel.perms, sel.scores):
+                pe = mask_error_probs(m, channel, perm, rate=rate)[code.sorted_masks()]
+                expected = float(-np.expm1(np.log1p(-np.minimum(pe, 1.0 - 1e-300)).sum()))
+                assert sc_error_estimate(code, perm, channel) == expected == score
+
     def test_frozen_spec_accepted(self):
         spec = FrozenSpec(3, frozenset({0, 1, 2, 4}))
         est = sc_error_estimate(spec, None, Bec(0.2))

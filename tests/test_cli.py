@@ -38,6 +38,13 @@ class TestConstructCommand:
         assert "below=5" in err and "above=8" in err
         assert not out.exists()
 
+    def test_infeasible_at_m16_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "c.code"
+        code, _, err = invoke(capsys, "construct", "--m", "16", "--t", "1", "--k", "3", "--out", str(out))
+        assert code == EXIT_INFEASIBLE == 3
+        assert "below=None" in err and "above=32768" in err
+        assert not out.exists()
+
     def test_invalid_params(self, tmp_path, capsys):
         code, _, _ = invoke(capsys, "construct", "--m", "4", "--t", "9", "--k", "8", "--out", str(tmp_path / "x"))
         assert code == EXIT_INVALID

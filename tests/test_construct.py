@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -118,6 +119,36 @@ class TestConstructGeneral:
             construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=7))
         assert exc.value.nearest_below == 5
         assert exc.value.nearest_above == 8
+
+    def test_infeasible_request_at_m16_fails_fast(self):
+        """The tau tiers are counted once per request, not once per candidate
+        k, so scanning all 2^15 dimensions for a neighbour stays quick."""
+        start = time.perf_counter()
+        with pytest.raises(NonRepresentableError) as exc:
+            construct_partially_symmetric(ConstructionRequest(m=16, t=1, k=3))
+        assert time.perf_counter() - start < 5.0
+        assert exc.value.nearest_below is None
+        assert exc.value.nearest_above == 32768
+
+    def test_achievable_matches_mask_count_for_rm_subcodes(self):
+        """The closed-form tier sizes give the dimensions that counting the
+        initial masks by tau gives, with and without a degree cap."""
+        for m in range(1, 8):
+            for t in range(1, m + 1):
+                for rm_order in [None, *range(m + 1)]:
+                    masks = [v for v in range(1 << m) if rm_order is None or v.bit_count() <= rm_order]
+                    tiers = [0] * (t + 1)
+                    for v in masks:
+                        tiers[(v & ((1 << t) - 1)).bit_count()] += 1
+                    expected = []
+                    for k in range(tiers[0], len(masks) + 1):
+                        k_prime, l_hat = len(masks), t
+                        while l_hat >= 1 and k_prime - tiers[l_hat] >= k:
+                            k_prime -= tiers[l_hat]
+                            l_hat -= 1
+                        if k_prime == k or ((k_prime - k) * l_hat) % t == 0:
+                            expected.append(k)
+                    assert achievable_dimensions(m, t, rm_order) == expected
 
     def test_achievable_matches_bound_representable(self):
         for m in range(2, 8):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcalc import decode
@@ -201,6 +201,38 @@ def decode_cases(draw, max_m=6):
     return MonomialCode(m, frozenset(masks)), [tuple(p) for p in perms], llrs, draw(st.booleans())
 
 
+def _edge_case(gen_set, erasures):
+    """A fixed m = 3 case: BEC-like frames (erasures, then +-inf) when
+    erasures is set, otherwise AWGN-like ones, under two layer orders."""
+    rng = np.random.default_rng(7)
+    cw = rng.integers(0, 2, (4, 8))
+    if erasures:
+        llrs = np.where(rng.random((4, 8)) < 0.4, 0.0, (1.0 - 2.0 * cw) * np.inf)
+    else:
+        llrs = 2.0 * (1.0 - 2.0 * cw + 0.8 * rng.standard_normal((4, 8)))
+    return MonomialCode(3, frozenset(gen_set)), [(0, 1, 2), (2, 0, 1)], llrs, False
+
+
+# k = 0, k = n, and a code whose first half (masks with the split variable x2)
+# is frozen under the identity order: the paths where a recursion returns no
+# bits for a whole subtree, at the root or before any info leaf
+EDGE_CASES = [
+    _edge_case((), True),
+    _edge_case(range(8), False),
+    _edge_case(range(4), True),
+    _edge_case(range(4), False),
+]
+
+
+def with_edge_cases(*extra):
+    def wrap(test):
+        for case in EDGE_CASES:
+            test = example(case, *extra)(test)
+        return test
+
+    return wrap
+
+
 @settings(max_examples=150, deadline=None)
 @given(decode_cases(), st.integers(1, 12))
 def test_sc_orders_match_reference_per_order(case, group_rows):
@@ -218,6 +250,7 @@ def test_sc_orders_match_reference_per_order(case, group_rows):
 
 @settings(max_examples=150, deadline=None)
 @given(decode_cases())
+@with_edge_cases()
 def test_sc_batch_u_matches_reference_and_reencodes(case):
     code, perms, llrs, min_sum = case
     cw, u, ties = sc_decode_batch(code, llrs, perms[0], min_sum)
@@ -228,6 +261,9 @@ def test_sc_batch_u_matches_reference_and_reencodes(case):
 
 @settings(max_examples=150, deadline=None)
 @given(decode_cases(), st.integers(1, 40))
+@with_edge_cases(1)
+@with_edge_cases(3)
+@with_edge_cases(40)
 def test_scl_batch_matches_reference(case, L):
     """Lists, u and penalties equal the reference bit for bit, also where
     BEC frames give equal path metrics."""

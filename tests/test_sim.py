@@ -236,6 +236,10 @@ class TestSimulateFer:
         code = MonomialCode(5, frozenset(range(21)))
         with pytest.raises(ValueError, match="k=21"):
             simulate_fer(code, BiAwgn(2.0), SimConfig(max_frames=64, decoder="ml"))
+        with pytest.raises(ValueError, match="k=21"):
+            fer_curve(code, [BiAwgn(2.0)], SimConfig(max_frames=64, decoder="ml"))
+        with pytest.raises(ValueError, match="k=21"):
+            check_working_set(code, SimConfig(decoder="ml"))
         assert calls == []
 
 
@@ -350,3 +354,64 @@ class TestWilson:
         lo1, hi1 = wilson_interval(10, 100)
         lo2, hi2 = wilson_interval(100, 1000)
         assert (hi2 - lo2) < (hi1 - lo1)
+
+
+# (code, channel, decoder, list size or order count, seed) ->
+# (frames, errors, ties, ml_certified), computed before the SC-list recursion
+# lost its separate frozen-subtree pass and the single-frame decoders shared
+# one result builder; any change of decoder output shows here
+GOLDEN_ROWS = {
+    ('16_8', Bec(eps=0.5), 'sc', 0, 1): (256, 171, 64, 0.58203125),
+    ('16_8', Bec(eps=0.5), 'sc', 0, 11): (256, 169, 64, 0.58984375),
+    ('16_8', Bec(eps=0.5), 'scl', 8, 1): (256, 89, 87, 0.9921875),
+    ('16_8', Bec(eps=0.5), 'scl', 8, 11): (256, 109, 106, 0.98828125),
+    ('16_8', Bec(eps=0.5), 'scl', 256, 1): (256, 90, 90, 1.0),
+    ('16_8', Bec(eps=0.5), 'scl', 256, 11): (256, 107, 107, 1.0),
+    ('16_8', Bec(eps=0.5), 'perm', 4, 1): (256, 103, 103, 1.0),
+    ('16_8', Bec(eps=0.5), 'perm', 4, 11): (256, 109, 109, 1.0),
+    ('16_8', Bec(eps=0.5), 'ml', 0, 1): (256, 104, 104, 1.0),
+    ('16_8', Bec(eps=0.5), 'ml', 0, 11): (256, 109, 109, 1.0),
+    ('16_8', BiAwgn(ebn0_db=1.0), 'sc', 0, 1): (256, 100, 0, 0.7421875),
+    ('16_8', BiAwgn(ebn0_db=1.0), 'sc', 0, 11): (256, 81, 0, 0.76953125),
+    ('16_8', BiAwgn(ebn0_db=1.0), 'scl', 8, 1): (256, 54, 0, 1.0),
+    ('16_8', BiAwgn(ebn0_db=1.0), 'scl', 8, 11): (256, 43, 0, 1.0),
+    ('16_8', BiAwgn(ebn0_db=1.0), 'scl', 256, 1): (256, 54, 0, 1.0),
+    ('16_8', BiAwgn(ebn0_db=1.0), 'scl', 256, 11): (256, 43, 0, 1.0),
+    ('16_8', BiAwgn(ebn0_db=1.0), 'perm', 4, 1): (256, 56, 0, 0.9921875),
+    ('16_8', BiAwgn(ebn0_db=1.0), 'perm', 4, 11): (256, 43, 0, 1.0),
+    ('16_8', BiAwgn(ebn0_db=1.0), 'ml', 0, 1): (256, 54, 0, 1.0),
+    ('16_8', BiAwgn(ebn0_db=1.0), 'ml', 0, 11): (256, 43, 0, 1.0),
+    ('m6', Bec(eps=0.5), 'sc', 0, 1): (256, 159, 1, 0.3828125),
+    ('m6', Bec(eps=0.5), 'sc', 0, 11): (256, 171, 0, 0.33203125),
+    ('m6', Bec(eps=0.5), 'scl', 8, 1): (256, 6, 3, 0.98828125),
+    ('m6', Bec(eps=0.5), 'scl', 8, 11): (256, 12, 4, 0.96875),
+    ('m6', Bec(eps=0.5), 'scl', 256, 1): (256, 3, 3, 1.0),
+    ('m6', Bec(eps=0.5), 'scl', 256, 11): (256, 4, 4, 1.0),
+    ('m6', Bec(eps=0.5), 'perm', 4, 1): (256, 4, 4, 1.0),
+    ('m6', Bec(eps=0.5), 'perm', 4, 11): (256, 2, 2, 1.0),
+    ('m6', Bec(eps=0.5), 'ml', 0, 1): (256, 4, 4, 1.0),
+    ('m6', Bec(eps=0.5), 'ml', 0, 11): (256, 3, 3, 1.0),
+    ('m6', BiAwgn(ebn0_db=1.0), 'sc', 0, 1): (256, 212, 0, 0.2265625),
+    ('m6', BiAwgn(ebn0_db=1.0), 'sc', 0, 11): (256, 196, 0, 0.28125),
+    ('m6', BiAwgn(ebn0_db=1.0), 'scl', 8, 1): (256, 98, 0, 0.76171875),
+    ('m6', BiAwgn(ebn0_db=1.0), 'scl', 8, 11): (256, 87, 0, 0.7890625),
+    ('m6', BiAwgn(ebn0_db=1.0), 'scl', 256, 1): (256, 50, 0, 1.0),
+    ('m6', BiAwgn(ebn0_db=1.0), 'scl', 256, 11): (256, 53, 0, 1.0),
+    ('m6', BiAwgn(ebn0_db=1.0), 'perm', 4, 1): (256, 51, 0, 0.99609375),
+    ('m6', BiAwgn(ebn0_db=1.0), 'perm', 4, 11): (256, 54, 0, 0.98828125),
+    ('m6', BiAwgn(ebn0_db=1.0), 'ml', 0, 1): (256, 50, 0, 1.0),
+    ('m6', BiAwgn(ebn0_db=1.0), 'ml', 0, 11): (256, 53, 0, 1.0),
+}
+GOLDEN_CODES = {
+    "16_8": CODE_16_8,
+    "m6": construct_partially_symmetric(ConstructionRequest(m=6, t=3, k=14)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_ROWS, key=repr), ids=repr)
+def test_simulate_fer_golden_rows(key):
+    code, channel, decoder, size, seed = key
+    kw = {"scl": {"list_size": size}, "perm": {"perm_count": size, "min_dist": 2}}.get(decoder, {})
+    config = SimConfig(decoder=decoder, max_errors=50, max_frames=256, seed=seed, **kw)
+    res = simulate_fer(GOLDEN_CODES[code], channel, config)
+    assert (res.frames, res.errors, res.ties, res.ml_certified) == GOLDEN_ROWS[key]
