@@ -1,6 +1,6 @@
 """Partially symmetric monomial codes: construction, bounds, and decoding."""
 
-from .bitmath import BitMatrix, BitVec, GF2mField, gf2m_mul, kernel_basis, rank, rref
+from .bitmath import BitMatrix, BitVec, GF2mField, kernel_basis, rank, rref
 from .bounds import (
     bec_minus_capacity,
     bound_curve,

@@ -395,8 +395,3 @@ class GF2mField:
         out = np.zeros((exps.size, self.size), dtype=np.int64)
         out[:, 1:] = antilog[(log[1:] * exps[:, None]) % order]
         return out
-
-
-def gf2m_mul(fld: GF2mField, a: int, b: int) -> int:
-    """Product of two field elements (see GF2mField.mul)."""
-    return fld.mul(a, b)

@@ -163,7 +163,6 @@ def _cmd_simulate(args) -> int:
         min_dist=args.min_dist,
         batch=args.batch,
         all_zero=args.all_zero,
-        min_sum=args.min_sum,
     )
     points = _sim.fer_curve(code, channels, config)
     lines = ["ebn0_or_eps,decoder,L_or_P,frames,errors,fer,ml_certified,wilson_lo,wilson_hi,ties"]
@@ -232,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-dist", type=int, default=5, dest="min_dist")
     p.add_argument("--batch", type=int, default=256)
     p.add_argument("--all-zero", action="store_true", dest="all_zero")
-    p.add_argument("--min-sum", action="store_true", dest="min_sum")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 

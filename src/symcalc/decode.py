@@ -62,19 +62,20 @@ def _log1p_exp_neg_abs(t: np.ndarray) -> np.ndarray:
     return np.log1p(t, out=t)
 
 
-def llr_check(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarray:
+def llr_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Check-node combine: exact tanh rule in a numerically stable form,
     min-sum plus the standard log-domain correction.
 
     The min-sum part is sign(a) sign(b) min(|a|, |b|); a zero result may
-    carry either sign, which no comparison or sum distinguishes.
+    carry either sign, which no comparison or sum distinguishes.  Plain
+    min-sum is not a shortcut even on erasure-channel inputs: after a wrong
+    guess the recursion reaches magnitudes near 2^48, which do not absorb
+    the log(2) correction, and some BEC frames then decode differently.
     """
     out = np.abs(a)
     tmp = np.abs(b)
     np.minimum(out, tmp, out=out)
     np.copysign(out, np.multiply(a, b, out=tmp), out=out)
-    if min_sum:
-        return out
     out += _log1p_exp_neg_abs(np.add(a, b, out=tmp))
     out -= _log1p_exp_neg_abs(np.subtract(a, b, out=tmp))
     return out
@@ -172,7 +173,7 @@ def _llr_batch(code: MonomialCode, llrs: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _sc_rec(lam: np.ndarray, info: np.ndarray, bits: np.ndarray, ties: np.ndarray, min_sum: bool):
+def _sc_rec(lam: np.ndarray, info: np.ndarray, bits: np.ndarray, ties: np.ndarray):
     """SC over a subtree holding at least one info leaf; overwrites lam.
 
     lam is (len, P, B): the subtree's LLRs for B frames under P layer orders,
@@ -188,10 +189,10 @@ def _sc_rec(lam: np.ndarray, info: np.ndarray, bits: np.ndarray, ties: np.ndarra
     h = lam.shape[0] // 2
     a, b = lam[:h], lam[h:]
     if info[:h].any():
-        _sc_rec(llr_check(a, b, min_sum), info[:h], bits[:h], ties, min_sum)
+        _sc_rec(llr_check(a, b), info[:h], bits[:h], ties)
     if info[h:].any():
         _negate_where(a, bits[:h])
-        _sc_rec(np.add(b, a, out=a), info[h:], bits[h:], ties, min_sum)  # b + (1 - 2 bit) a
+        _sc_rec(np.add(b, a, out=a), info[h:], bits[h:], ties)  # b + (1 - 2 bit) a
         bits[:h] ^= bits[h:]
 
 
@@ -199,7 +200,6 @@ def sc_decode_orders(
     code: MonomialCode,
     llrs: np.ndarray,
     perms: Sequence[Sequence[int]],
-    min_sum: bool = False,
 ):
     """SC under each of P layer orders for a batch of frames.
 
@@ -221,7 +221,7 @@ def sc_decode_orders(
         bits = np.zeros((code.n, p, b), dtype=bool)
         group_ties = np.zeros((p, b), dtype=np.int64)
         if info.any():
-            _sc_rec(lam_t[coord], info[:, :, None], bits, group_ties, min_sum)
+            _sc_rec(lam_t[coord], info[:, :, None], bits, group_ties)
         codewords[:, lo : lo + p] = bits[inverse, np.arange(p)].transpose(2, 1, 0)
         ties[:, lo : lo + p] = group_ties.T
     return codewords, ties
@@ -231,13 +231,12 @@ def sc_decode_batch(
     code: MonomialCode,
     llrs: np.ndarray,
     layer_perm: Sequence[int] | None = None,
-    min_sum: bool = False,
 ):
     """Vectorized SC over a batch of frames: (B, n) LLRs in, (B, n) bits out.
 
     Returns (codewords, u, ties); u is the coefficient vector of each codeword.
     """
-    codewords, ties = sc_decode_orders(code, llrs, [layer_perm], min_sum)
+    codewords, ties = sc_decode_orders(code, llrs, [layer_perm])
     codewords = codewords[:, 0]
     return codewords, kronecker_transform_array(codewords), ties[:, 0]
 
@@ -246,10 +245,9 @@ def sc_decode(
     code: MonomialCode,
     llr: np.ndarray,
     layer_perm: Sequence[int] | None = None,
-    min_sum: bool = False,
 ) -> DecodeResult:
     """Successive cancellation decoding of a single frame."""
-    cw, _, ties = sc_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :], layer_perm, min_sum)
+    cw, _, ties = sc_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :], layer_perm)
     return _single_frame_result(cw, llr, ties=int(ties[0]))
 
 
@@ -292,7 +290,7 @@ def _fork(lam0, metrics, L):
     return bits.view(np.uint8).ravel(), kept[:, :L], (first + order - p * bits).ravel()
 
 
-def _scl_rec(lam: np.ndarray, metrics: np.ndarray, info: np.ndarray, L: int, min_sum: bool):
+def _scl_rec(lam: np.ndarray, metrics: np.ndarray, info: np.ndarray, L: int):
     """SC list over a subtree; overwrites lam.
 
     lam is (len, B*p): row b*p + j holds path j of frame b, whose metric is
@@ -309,12 +307,12 @@ def _scl_rec(lam: np.ndarray, metrics: np.ndarray, info: np.ndarray, L: int, min
         bits, met, par = _fork(lam[0].reshape(metrics.shape), metrics, L)
         return bits[None, :], met, par
     h = length // 2
-    cw0, met1, par1 = _scl_rec(llr_check(lam[:h], lam[h:], min_sum), metrics, info[:h], L, min_sum)
+    cw0, met1, par1 = _scl_rec(llr_check(lam[:h], lam[h:]), metrics, info[:h], L)
     if cw0 is not None:
         lam = np.take(lam, par1, axis=1)
         _negate_where(lam[:h], cw0)
     lg = np.add(lam[h:], lam[:h], out=lam[:h])  # c + (1 - 2 bit) a
-    cw1, met2, par2 = _scl_rec(lg, met1, info[h:], L, min_sum)
+    cw1, met2, par2 = _scl_rec(lg, met1, info[h:], L)
     if cw1 is None:
         if cw0 is None:
             return None, met2, None
@@ -335,7 +333,6 @@ def scl_decode_batch(
     llrs: np.ndarray,
     L: int,
     layer_perm: Sequence[int] | None = None,
-    min_sum: bool = False,
 ):
     """List decode a batch: returns (bits (B,P,n), u (B,P,n), penalties (B,P)).
 
@@ -348,7 +345,7 @@ def scl_decode_batch(
     check_working_set(code, lam.shape[0], min(L, 1 << code.k))
     coord, inverse, info = _setup(code.m, code.gen_set, resolve_layer_order(code.m, layer_perm))
     lam = np.ascontiguousarray(lam.T[coord])  # (n, B)
-    bits, penalties, _ = _scl_rec(lam, np.zeros((lam.shape[1], 1)), info, L, min_sum)
+    bits, penalties, _ = _scl_rec(lam, np.zeros((lam.shape[1], 1)), info, L)
     if bits is None:  # k = 0: the one path is the zero word
         bits = np.zeros(lam.shape, dtype=np.uint8)
     codewords = np.ascontiguousarray(bits[inverse].T).reshape(penalties.shape + (code.n,))
@@ -360,10 +357,9 @@ def scl_decode(
     llr: np.ndarray,
     L: int,
     layer_perm: Sequence[int] | None = None,
-    min_sum: bool = False,
 ) -> DecodeResult:
     """SC list decoding; the returned codeword is the closest list entry."""
-    cws = scl_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :], L, layer_perm, min_sum)[0][0]
+    cws = scl_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :], L, layer_perm)[0][0]
     return _single_frame_result(cws, llr)
 
 

@@ -135,6 +135,10 @@ def draw_frames(
     """
     if not 0 <= lo <= hi <= 2**64:
         raise ValueError(f"frame range {lo}..{hi} is not within 0..2^64")
+    if (hi - lo) * code.n > _dec.BATCH_LLR_CELLS:
+        raise ValueError(
+            f"frame range {lo}..{hi} holds {(hi - lo) * code.n} LLRs, over the limit {_dec.BATCH_LLR_CELLS}"
+        )
     bg = np.random.Philox(key=philox_key(seed, 0))
     rng = np.random.Generator(bg)
     state = bg.state  # zero counter, empty buffers: a fresh generator's state
@@ -171,7 +175,6 @@ class SimConfig:
     min_dist: int = 5
     batch: int = 256
     all_zero: bool = False
-    min_sum: bool = False
 
     def __post_init__(self):
         if self.max_errors <= 0 or self.max_frames <= 0 or self.batch <= 0:
@@ -185,24 +188,26 @@ class SimConfig:
         if self.decoder == "scl":
             return str(self.list_size)
         if self.decoder == "perm":
-            return str(len(self.perms) if self.perms else self.perm_count)
+            return str(len(self.perms) if self.perms is not None else self.perm_count)
         return ""
-
-
-# bounds the LLRs one batch decodes: frames x n, times the list or permutation
-# count; the one constant and its check live in decode
-BATCH_LLR_CELLS = _dec.BATCH_LLR_CELLS
 
 
 def check_working_set(code: MonomialCode, config: SimConfig) -> None:
     """Raise ValueError when one batch of `config` on `code` would decode more
-    than BATCH_LLR_CELLS LLRs, or ML would enumerate more than
-    2^ML_MAX_DIMENSION codewords; allocates nothing."""
+    than decode.BATCH_LLR_CELLS LLRs, ML would enumerate more than
+    2^ML_MAX_DIMENSION codewords, or the given layer orders are empty or not
+    permutations of range(m); allocates nothing."""
     paths = 1
     if config.decoder == "scl":
         paths = min(config.list_size, 1 << code.k)
+    elif config.decoder == "perm" and config.perms is None:
+        paths = config.perm_count
     elif config.decoder == "perm":
-        paths = len(config.perms) if config.perms is not None else config.perm_count
+        if not config.perms:
+            raise ValueError("permutation list is empty")
+        for perm in config.perms:
+            _dec.resolve_layer_order(code.m, perm)
+        paths = len(config.perms)
     frames = min(config.batch, config.max_frames)
     _dec.check_working_set(code, frames, paths, ml=config.decoder == "ml")
 
@@ -251,13 +256,13 @@ def _closest(codewords: np.ndarray, llrs: np.ndarray) -> np.ndarray:
 def _decode_batch(code, llrs, config: SimConfig, layer_perm):
     """Returns the decoded codewords (B, n) for the configured decoder."""
     if config.decoder == "sc":
-        cw, _, _ = _dec.sc_decode_batch(code, llrs, layer_perm, config.min_sum)
+        cw, _, _ = _dec.sc_decode_batch(code, llrs, layer_perm)
         return cw
     if config.decoder == "scl":
-        cw, _, _ = _dec.scl_decode_batch(code, llrs, config.list_size, layer_perm, config.min_sum)
+        cw, _, _ = _dec.scl_decode_batch(code, llrs, config.list_size, layer_perm)
         return _closest(cw, llrs)
     if config.decoder == "perm":
-        cw, _ = _dec.sc_decode_orders(code, llrs, config.perms, config.min_sum)
+        cw, _ = _dec.sc_decode_orders(code, llrs, config.perms)
         return _closest(cw, llrs)
     if config.decoder == "ml":
         return _dec.ml_decode_batch(code, llrs)[0]

@@ -30,7 +30,7 @@ from symcalc.decode import (
     scl_decode,
     scl_decode_batch,
 )
-from symcalc.sim import Bec, BiAwgn, frame_rng, noise_sigma, transmit
+from symcalc.sim import Bec, BiAwgn, draw_frames, frame_rng, noise_sigma, transmit
 
 
 def transform(u: BitVec) -> BitVec:
@@ -110,7 +110,7 @@ def ref_setup(m, gen_set, perm):
     return coord, info, (n - 1) ^ rel
 
 
-def ref_sc_rec(lam, info, min_sum):
+def ref_sc_rec(lam, info):
     if lam.shape[1] == 1:
         lam0 = lam[:, 0]
         if info[0]:
@@ -122,15 +122,15 @@ def ref_sc_rec(lam, info, min_sum):
         return u[:, None].copy(), u[:, None].copy(), ties
     h = lam.shape[1] // 2
     a, b = lam[:, :h], lam[:, h:]
-    cw0, u0, t0 = ref_sc_rec(llr_check(a, b, min_sum), info[:h], min_sum)
-    cw1, u1, t1 = ref_sc_rec(b + (1.0 - 2.0 * cw0) * a, info[h:], min_sum)
+    cw0, u0, t0 = ref_sc_rec(llr_check(a, b), info[:h])
+    cw1, u1, t1 = ref_sc_rec(b + (1.0 - 2.0 * cw0) * a, info[h:])
     return np.hstack([cw0 ^ cw1, cw1]), np.hstack([u0, u1]), t0 + t1
 
 
-def ref_sc_batch(code, llrs, perm, min_sum=False):
+def ref_sc_batch(code, llrs, perm):
     coord, info, u_idx = ref_setup(code.m, code.gen_set, perm)
     lam = np.clip(llrs, -decode.LLR_CLAMP, decode.LLR_CLAMP)
-    bits, u, ties = ref_sc_rec(lam[:, coord], info, min_sum)
+    bits, u, ties = ref_sc_rec(lam[:, coord], info)
     cw = np.empty_like(bits)
     cw[:, coord] = bits
     return cw, u[:, u_idx], ties
@@ -149,7 +149,7 @@ def ref_fork(lam0, metrics, L):
     return tuple(np.take_along_axis(x, order, axis=1) for x in (bits2, met2, par2))
 
 
-def ref_scl_rec(lam, metrics, info, L, min_sum):
+def ref_scl_rec(lam, metrics, info, L):
     b, p, length = lam.shape
     if length == 1:
         lam0 = lam[:, :, 0]
@@ -161,23 +161,32 @@ def ref_scl_rec(lam, metrics, info, L, min_sum):
         return bits, bits.copy(), metrics + np.logaddexp(0.0, -lam0), par
     h = length // 2
     a, c = lam[:, :, :h], lam[:, :, h:]
-    cw0, u0, met1, par1 = ref_scl_rec(llr_check(a, c, min_sum), metrics, info[:h], L, min_sum)
+    cw0, u0, met1, par1 = ref_scl_rec(llr_check(a, c), metrics, info[:h], L)
     sel = par1[:, :, None]
     lg = np.take_along_axis(c, sel, axis=1) + (1.0 - 2.0 * cw0) * np.take_along_axis(a, sel, axis=1)
-    cw1, u1, met2, par2 = ref_scl_rec(lg, met1, info[h:], L, min_sum)
+    cw1, u1, met2, par2 = ref_scl_rec(lg, met1, info[h:], L)
     sel2 = par2[:, :, None]
     bits = np.concatenate([np.take_along_axis(cw0, sel2, axis=1) ^ cw1, cw1], axis=2)
     u = np.concatenate([np.take_along_axis(u0, sel2, axis=1), u1], axis=2)
     return bits, u, met2, np.take_along_axis(par1, par2, axis=1)
 
 
-def ref_scl_batch(code, llrs, L, perm, min_sum=False):
+def ref_scl_batch(code, llrs, L, perm):
     coord, info, u_idx = ref_setup(code.m, code.gen_set, perm)
     lam = np.clip(llrs, -decode.LLR_CLAMP, decode.LLR_CLAMP)
-    bits, u, penalties, _ = ref_scl_rec(lam[:, None, coord], np.zeros((lam.shape[0], 1)), info, L, min_sum)
+    bits, u, penalties, _ = ref_scl_rec(lam[:, None, coord], np.zeros((lam.shape[0], 1)), info, L)
     cw = np.empty_like(bits)
     cw[:, :, coord] = bits
     return cw, u[:, :, u_idx], penalties
+
+
+@st.composite
+def codes_and_orders(draw, max_m=6):
+    """A random monomial code with 1 <= m <= max_m and 1 to 7 layer orders."""
+    m = draw(st.integers(1, max_m))
+    masks = draw(st.sets(st.integers(0, (1 << m) - 1), max_size=1 << m))
+    perms = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=7))
+    return MonomialCode(m, frozenset(masks)), [tuple(p) for p in perms]
 
 
 @st.composite
@@ -187,10 +196,8 @@ def decode_cases(draw, max_m=6):
     Half the cases are BEC frames (LLR +-inf or 0), so that zero-LLR
     decisions and equal path metrics occur; the others are BI-AWGN-like.
     """
-    m = draw(st.integers(1, max_m))
-    n = 1 << m
-    masks = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    perms = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=7))
+    code, perms = draw(codes_and_orders(max_m))
+    n = code.n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frames = draw(st.integers(1, 6))
     cw = rng.integers(0, 2, (frames, n))
@@ -198,29 +205,32 @@ def decode_cases(draw, max_m=6):
         llrs = np.where(rng.random((frames, n)) < draw(st.floats(0.0, 1.0)), 0.0, (1.0 - 2.0 * cw) * np.inf)
     else:
         llrs = (1.0 - 2.0 * cw + draw(st.floats(0.1, 2.0)) * rng.standard_normal((frames, n))) * 2.0
-    return MonomialCode(m, frozenset(masks)), [tuple(p) for p in perms], llrs, draw(st.booleans())
+    return code, perms, llrs
 
 
-def _edge_case(gen_set, erasures):
-    """A fixed m = 3 case: BEC-like frames (erasures, then +-inf) when
-    erasures is set, otherwise AWGN-like ones, under two layer orders."""
+def _edge_case(gen_set, eps):
+    """A fixed m = 3 case under two layer orders: BEC(eps) frames (erasures,
+    then +-inf), or AWGN-like ones when eps is None."""
     rng = np.random.default_rng(7)
     cw = rng.integers(0, 2, (4, 8))
-    if erasures:
-        llrs = np.where(rng.random((4, 8)) < 0.4, 0.0, (1.0 - 2.0 * cw) * np.inf)
-    else:
+    if eps is None:
         llrs = 2.0 * (1.0 - 2.0 * cw + 0.8 * rng.standard_normal((4, 8)))
-    return MonomialCode(3, frozenset(gen_set)), [(0, 1, 2), (2, 0, 1)], llrs, False
+    else:
+        llrs = np.where(rng.random((4, 8)) < eps, 0.0, (1.0 - 2.0 * cw) * np.inf)
+    return MonomialCode(3, frozenset(gen_set)), [(0, 1, 2), (2, 0, 1)], llrs
 
 
 # k = 0, k = n, and a code whose first half (masks with the split variable x2)
 # is frozen under the identity order: the paths where a recursion returns no
-# bits for a whole subtree, at the root or before any info leaf
+# bits for a whole subtree, at the root or before any info leaf; then BEC(0)
+# and BEC(1), every LLR +-inf or every LLR 0
 EDGE_CASES = [
-    _edge_case((), True),
-    _edge_case(range(8), False),
-    _edge_case(range(4), True),
-    _edge_case(range(4), False),
+    _edge_case((), 0.4),
+    _edge_case(range(8), None),
+    _edge_case(range(4), 0.4),
+    _edge_case(range(4), None),
+    _edge_case((1, 2, 3, 5, 6), 0.0),
+    _edge_case((1, 2, 3, 5, 6), 1.0),
 ]
 
 
@@ -235,15 +245,16 @@ def with_edge_cases(*extra):
 
 @settings(max_examples=150, deadline=None)
 @given(decode_cases(), st.integers(1, 12))
+@with_edge_cases(1)
 def test_sc_orders_match_reference_per_order(case, group_rows):
     """Orders batched in groups (of any size, the last one partial) give
     each order's reference codewords and tie counts."""
-    code, perms, llrs, min_sum = case
+    code, perms, llrs = case
     with mock.patch.object(decode, "GROUP_LLRS", group_rows * code.n):
-        cws, ties = sc_decode_orders(code, llrs, perms, min_sum)
+        cws, ties = sc_decode_orders(code, llrs, perms)
     assert cws.shape == (llrs.shape[0], len(perms), code.n)
     for i, perm in enumerate(perms):
-        ref_cw, _, ref_ties = ref_sc_batch(code, llrs, perm, min_sum)
+        ref_cw, _, ref_ties = ref_sc_batch(code, llrs, perm)
         assert np.array_equal(cws[:, i], ref_cw)
         assert np.array_equal(ties[:, i], ref_ties)
 
@@ -252,9 +263,9 @@ def test_sc_orders_match_reference_per_order(case, group_rows):
 @given(decode_cases())
 @with_edge_cases()
 def test_sc_batch_u_matches_reference_and_reencodes(case):
-    code, perms, llrs, min_sum = case
-    cw, u, ties = sc_decode_batch(code, llrs, perms[0], min_sum)
-    ref_cw, ref_u, ref_ties = ref_sc_batch(code, llrs, perms[0], min_sum)
+    code, perms, llrs = case
+    cw, u, ties = sc_decode_batch(code, llrs, perms[0])
+    ref_cw, ref_u, ref_ties = ref_sc_batch(code, llrs, perms[0])
     assert np.array_equal(cw, ref_cw) and np.array_equal(u, ref_u) and np.array_equal(ties, ref_ties)
     assert_reencodes(code, u, cw)
 
@@ -267,12 +278,64 @@ def test_sc_batch_u_matches_reference_and_reencodes(case):
 def test_scl_batch_matches_reference(case, L):
     """Lists, u and penalties equal the reference bit for bit, also where
     BEC frames give equal path metrics."""
-    code, perms, llrs, min_sum = case
-    cw, u, penalties = scl_decode_batch(code, llrs, L, perms[0], min_sum)
-    ref_cw, ref_u, ref_penalties = ref_scl_batch(code, llrs, L, perms[0], min_sum)
+    code, perms, llrs = case
+    cw, u, penalties = scl_decode_batch(code, llrs, L, perms[0])
+    ref_cw, ref_u, ref_penalties = ref_scl_batch(code, llrs, L, perms[0])
     assert np.array_equal(cw, ref_cw) and np.array_equal(u, ref_u)
     assert np.array_equal(penalties.view(np.uint64), ref_penalties.view(np.uint64))
     assert_reencodes(code, u, cw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes_and_orders(), st.floats(0.0, 1.0), st.integers(1, 40), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_bec_frame_decodes_alike_alone_and_in_awgn_batch(case, eps, L, row, seed):
+    """Nothing in a decode depends on the other frames of its batch: SC, the
+    layer orders and SCL give a BEC frame the same codewords, u, ties and
+    penalty bytes alone and among AWGN frames."""
+    code, perms = case
+    rng = np.random.default_rng(seed)
+    signs = 1.0 - 2.0 * rng.integers(0, 2, (4, code.n))
+    bec = np.where(rng.random(code.n) < eps, 0.0, signs[0] * np.inf)
+    awgn = 2.0 * (signs[1:] + 0.8 * rng.standard_normal((3, code.n)))
+
+    def decode_frame(llrs, i):
+        outputs = (
+            *sc_decode_batch(code, llrs, perms[0]),
+            *sc_decode_orders(code, llrs, perms),
+            *scl_decode_batch(code, llrs, L, perms[0]),
+        )
+        return [x[i].tobytes() for x in outputs]
+
+    assert decode_frame(bec[None], 0) == decode_frame(np.insert(awgn, row, bec, axis=0), row)
+
+
+def _bits(value: int, n: int) -> np.ndarray:
+    """Bit i of value at index i."""
+    return np.array([(value >> i) & 1 for i in range(n)], dtype=np.uint8)
+
+
+def test_min_sum_decodes_a_bec_frame_differently():
+    """Why no decoder takes min-sum on erasure-channel inputs.  On this BEC
+    frame of an m = 6, k = 19 code, SC under one layer order guesses wrong,
+    and its LLRs then reach magnitudes near 2^48, where the exact rule's
+    log(2) term does not round away.  The exact rule (the reference's)
+    decodes one codeword and plain min-sum another."""
+    code = MonomialCode(6, frozenset(np.flatnonzero(_bits(0x33612B40308C0104, 64)).tolist()))
+    erased, negative = _bits(0x088016ACCD280E55, 64), _bits(0x0049295120912120, 64)
+    llrs = np.where(erased, 0.0, np.where(negative, -np.inf, np.inf))[None, :]
+    perm = (3, 1, 2, 0, 4, 5)
+    cws, ties = sc_decode_orders(code, llrs, [perm])
+    ref_cw, _, ref_ties = ref_sc_batch(code, llrs, perm)
+    assert np.array_equal(cws[:, 0], ref_cw) and np.array_equal(ties[:, 0], ref_ties)
+    assert np.array_equal(cws[0, 0], _bits(0xAA0099CC0000CCCC, 64)) and ties[0, 0] == 12
+
+    def min_sum(a, b):
+        out = np.minimum(np.abs(a), np.abs(b))
+        return np.copysign(out, a * b, out=out)
+
+    with mock.patch.object(decode, "llr_check", min_sum):
+        min_sum_cws, _ = sc_decode_orders(code, llrs, [perm])
+    assert np.array_equal(min_sum_cws[0, 0], _bits(0x66CC5500CCCC0000, 64))
 
 
 SPECIAL_LLRS = [0.0, -0.0, 5e-324, -5e-324, 1e30, -1e30, np.inf, -np.inf]
@@ -419,9 +482,17 @@ class TestSclDecode:
         assert cw.shape == (2, 1 << code.k, code.n)
 
     def test_list_size_one_equals_sc(self):
+        """SCL-1 gives SC's codewords and metrics on 10,000 AWGN frames
+        decoded in batches, and the single-frame decoders on 300 of them."""
         code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
-        for f in range(10_000):
-            _, llr = random_frame(code, f, db=1.0, seed=5)
+        _, _, llrs = draw_frames(code, BiAwgn(1.0), 5, 0, 10_000)
+        for batch in np.split(llrs, 4):
+            sc_cw, sc_u, _ = sc_decode_batch(code, batch)
+            scl_cw, scl_u, _ = scl_decode_batch(code, batch, 1)
+            assert np.array_equal(scl_cw[:, 0], sc_cw) and np.array_equal(scl_u[:, 0], sc_u)
+            metrics = [np.einsum("bn,bn->b", 1.0 - 2.0 * cw, batch) for cw in (sc_cw, scl_cw[:, 0])]
+            assert np.array_equal(*metrics)
+        for llr in llrs[:300]:
             a = sc_decode(code, llr)
             b = scl_decode(code, llr, 1)
             assert a.codeword == b.codeword and a.metric == b.metric

@@ -8,8 +8,8 @@ from scipy.stats import norm
 
 from symcalc.codes import MonomialCode, encode_batch, monomial_to_linear, rm_code
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
+from symcalc.decode import BATCH_LLR_CELLS
 from symcalc.sim import (
-    BATCH_LLR_CELLS,
     Bec,
     BiAwgn,
     SimConfig,
@@ -129,9 +129,13 @@ def test_draw_frames_matches_per_frame_draws(k_mod_8, data):
     assert np.array_equal(llrs.view(np.uint64), ref_llrs.view(np.uint64))
 
 
-@pytest.mark.parametrize("lo,hi", [(-1, 2), (5, 4), (2**64 - 1, 2**64 + 1)])
+@pytest.mark.parametrize(
+    "lo,hi", [(-1, 2), (5, 4), (2**64 - 1, 2**64 + 1), (7, 7 + BATCH_LLR_CELLS // 16 + 1)]
+)
 def test_draw_frames_rejects_bad_frame_range(lo, hi):
-    with pytest.raises(ValueError, match="frame range"):
+    """Ranges outside 0..2^64, and ranges whose frames hold more than
+    BATCH_LLR_CELLS LLRs (n = 16), are rejected before any allocation."""
+    with pytest.raises(ValueError, match=r"frame range .* (is not within 0\.\.2\^64|over the limit)"):
         draw_frames(CODE_16_8, Bec(0.5), 0, lo, hi)
 
 
@@ -247,15 +251,19 @@ class TestWorkingSet:
     CODE_256 = MonomialCode(8, frozenset(range(128)))
 
     @pytest.mark.parametrize(
-        "config",
+        "config,match",
         [
-            SimConfig(decoder="scl", list_size=32, batch=10**9, max_frames=10**6),
-            SimConfig(decoder="perm", perm_count=10**4, batch=256),
-            SimConfig(decoder="sc", batch=1 << 17),
+            (SimConfig(decoder="scl", list_size=32, batch=10**9, max_frames=10**6), f"over the limit {BATCH_LLR_CELLS}"),
+            (SimConfig(decoder="perm", perm_count=10**4, batch=256), f"over the limit {BATCH_LLR_CELLS}"),
+            (SimConfig(decoder="sc", batch=1 << 17), f"over the limit {BATCH_LLR_CELLS}"),
+            # given layer orders are checked in the same pre-flight
+            (SimConfig(decoder="perm", perms=()), "permutation list is empty"),
+            (SimConfig(decoder="perm", perms=(tuple(range(8)), (0, 1, 2))), r"not a permutation of range\(8\)"),
+            (SimConfig(decoder="perm", perms=((0, 0, 1, 2, 3, 4, 5, 6),)), r"not a permutation of range\(8\)"),
         ],
-        ids=["scl", "perm", "sc"],
+        ids=["scl", "perm", "sc", "perm-empty", "perm-short-order", "perm-repeated-variable"],
     )
-    def test_oversized_batch_rejected_before_any_frame(self, monkeypatch, config):
+    def test_oversized_batch_rejected_before_any_frame(self, monkeypatch, config, match):
         import tracemalloc
 
         import symcalc.channelconstruct as cc_mod
@@ -268,7 +276,7 @@ class TestWorkingSet:
         try:
             for run in (simulate_fer, fer_curve):
                 channel = BiAwgn(2.0)
-                with pytest.raises(ValueError, match=f"over the limit {BATCH_LLR_CELLS}"):
+                with pytest.raises(ValueError, match=match):
                     run(self.CODE_256, channel if run is simulate_fer else [channel], config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -340,6 +348,9 @@ class TestFerCurve:
         cfg = SimConfig(max_errors=5, max_frames=128, seed=0, decoder="scl", list_size=4)
         pts = fer_curve(CODE_16_8, [BiAwgn(2.0)], cfg)
         assert pts[0].decoder == "scl" and pts[0].size_label == "4"
+        # the label counts the given orders, none included, not perm_count
+        assert SimConfig(decoder="perm", perms=()).label() == "0"
+        assert SimConfig(decoder="perm", perms=((1, 0, 2, 3),)).label() == "1"
 
 
 class TestWilson:
