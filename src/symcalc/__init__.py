@@ -19,13 +19,11 @@ from .calculus import (
 )
 from .channelconstruct import (
     bec_density_evolution,
-    bec_frozen_set,
-    ga_frozen_set,
+    polar_code,
     sc_error_estimate,
     select_permutations,
 )
 from .codes import (
-    FrozenSpec,
     LinearCode,
     Monomial,
     MonomialCode,
@@ -33,7 +31,6 @@ from .codes import (
     load_code,
     monomial_min_distance,
     monomial_to_linear,
-    polar_code,
     rm_code,
     save_code,
 )

@@ -1,38 +1,52 @@
-"""Frozen-set construction and layer-permutation ranking.
+"""Polar-code construction and layer-permutation ranking.
 
-Synthetic-channel reliabilities are tracked in decode-position order: entry 0
-is the bit decoded first (the all-XOR branch), and splitting entry q yields
-the degraded branch at 2q and the upgraded branch at 2q+1.  A monomial mask v
-is decoded through the position whose transform sequence takes the degraded
-branch for every set bit of v, most significant processed variable first.
+The splitting recursions track synthetic-channel reliabilities in
+decode-position order: entry 0 is the bit decoded first (the all-XOR branch),
+and splitting entry q yields the degraded branch at 2q and the upgraded branch
+at 2q+1.  Everything outside them is indexed by monomial mask: a mask v is
+decoded through the position whose transform sequence takes the degraded
+branch for every set bit of v, most significant processed variable first,
+i.e. position n-1-v under the identity layer order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erfc
 
-from .codes import FrozenSpec, MonomialCode, check_m, polar_code
+from .codes import MonomialCode, check_m
 from .decode import branch_positions, resolve_layer_order
-from .sim import Bec, BiAwgn, ChannelModel, check_ebn0, noise_sigma, philox_key
+from .sim import Bec, BiAwgn, ChannelModel, noise_sigma, philox_key
+
+
+def _polarize(
+    m: int, x0: float, split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """Per-position images of x0 after m splitting levels; split maps the
+    values of one level to their (degraded, upgraded) images."""
+    check_m(m)
+    x = np.array([x0], dtype=np.float64)
+    for _ in range(m):
+        out = np.empty(2 * x.size, dtype=np.float64)
+        out[0::2], out[1::2] = split(x)
+        x = out
+    return x
+
+
+def _bec_split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # degraded: erased unless both halves arrive; upgraded: erased only if both are
+    return 2 * z - z * z, z * z
 
 
 def bec_density_evolution(m: int, eps: float) -> np.ndarray:
     """Exact per-position erasure probabilities after m splitting levels."""
-    check_m(m)
     if not 0 <= eps <= 1:
         raise ValueError("erasure probability must lie in [0, 1]")
-    z = np.array([eps], dtype=np.float64)
-    for _ in range(m):
-        out = np.empty(2 * z.size, dtype=np.float64)
-        out[0::2] = 2 * z - z * z  # degraded: erased unless both halves arrive
-        out[1::2] = z * z          # upgraded: erased only if both are
-        z = out
-    return z
+    return _polarize(m, eps, _bec_split)
 
 
 # ---------------------------------------------------------------------------
@@ -87,42 +101,11 @@ def _ga_split(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def ga_llr_means(m: int, mu0: float) -> np.ndarray:
     """Per-position mean LLRs under the Gaussian approximation."""
-    check_m(m)
-    mu = np.array([mu0], dtype=np.float64)
-    for _ in range(m):
-        out = np.empty(2 * mu.size, dtype=np.float64)
-        out[0::2], out[1::2] = _ga_split(mu)
-        mu = out
-    return mu
+    return _polarize(m, mu0, _ga_split)
 
 
 def _ga_error_probs(mu: np.ndarray) -> np.ndarray:
     return 0.5 * erfc(np.sqrt(np.maximum(mu, 0.0)) / 2.0)
-
-
-def ga_frozen_set(m: int, k: int, ebn0_db: float) -> FrozenSpec:
-    """Freeze the 2^m - k least reliable positions for a BI-AWGN channel."""
-    check_m(m)
-    n = 1 << m
-    if not 0 < k <= n:
-        raise ValueError("need 0 < k <= 2^m")
-    check_ebn0(ebn0_db)
-    sigma = noise_sigma(ebn0_db, k / n)
-    mu = ga_llr_means(m, 2.0 / sigma**2)
-    pe = _ga_error_probs(mu)
-    order = np.lexsort((np.arange(n), -pe))  # worst first, ties by index
-    return FrozenSpec(m, frozenset(int(i) for i in order[: n - k]))
-
-
-def bec_frozen_set(m: int, k: int, eps: float) -> FrozenSpec:
-    """Freeze the 2^m - k most erasure-prone positions of a BEC."""
-    check_m(m)
-    n = 1 << m
-    if not 0 < k <= n:
-        raise ValueError("need 0 < k <= 2^m")
-    z = bec_density_evolution(m, eps)
-    order = np.lexsort((np.arange(n), -z))
-    return FrozenSpec(m, frozenset(int(i) for i in order[: n - k]))
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +140,20 @@ def mask_error_probs(
     return branch[pos]
 
 
-def sc_error_estimate(
-    code: MonomialCode | FrozenSpec,
-    perm: Sequence[int] | None,
-    channel: ChannelModel,
-) -> float:
+def polar_code(m: int, k: int, channel: ChannelModel) -> MonomialCode:
+    """The polar code of dimension k on a channel: the k masks of lowest
+    SC bit-error probability under the identity layer order, ties to the
+    lower mask.  On BI-AWGN the reliabilities are taken at rate k/2^m."""
+    check_m(m, low=1)
+    n = 1 << m
+    if not 0 < k <= n:
+        raise ValueError("need 0 < k <= 2^m")
+    pe = mask_error_probs(m, channel, rate=k / n)
+    return MonomialCode(m, frozenset(np.lexsort((np.arange(n), pe))[:k].tolist()))
+
+
+def sc_error_estimate(code: MonomialCode, perm: Sequence[int] | None, channel: ChannelModel) -> float:
     """Union-bound SC frame-error estimate under a layer permutation."""
-    if isinstance(code, FrozenSpec):
-        code = polar_code(code)
     perm = resolve_layer_order(code.m, perm)
     return float(_union_bound_scores(code, channel, np.array([perm], dtype=np.int64))[0])
 
@@ -196,7 +185,7 @@ _SAMPLE_COUNT = 100_000
 
 
 def select_permutations(
-    code: MonomialCode | FrozenSpec,
+    code: MonomialCode,
     p_count: int,
     channel: ChannelModel,
     min_dist: int = 5,
@@ -209,8 +198,6 @@ def select_permutations(
     candidate is always retained.  Beyond m = 8 the candidates are a seeded
     sample of the m! orders.
     """
-    if isinstance(code, FrozenSpec):
-        code = polar_code(code)
     if p_count < 1:
         raise ValueError("need P >= 1")
     m = code.m

@@ -18,7 +18,7 @@ from . import bounds as _bounds
 from . import channelconstruct as _cc
 from . import sim as _sim
 from .calculus import symmetry_profile
-from .codes import MonomialCode, check_m, load_code, monomial_min_distance, polar_code, save_code
+from .codes import MonomialCode, check_m, load_code, monomial_min_distance, save_code
 from .construct import ConstructionRequest, NonRepresentableError, construct_partially_symmetric
 
 logger = logging.getLogger("symcalc")
@@ -110,13 +110,10 @@ def _cmd_bounds(args) -> int:
 def _cmd_frozen(args) -> int:
     if (args.bec is None) == (args.awgn is None):
         raise ValueError("exactly one of --bec or --awgn is required")
-    if args.bec is not None:
-        spec = _cc.bec_frozen_set(args.m, args.k, args.bec)
-    else:
-        spec = _cc.ga_frozen_set(args.m, args.k, args.awgn)
-    code = polar_code(spec)
+    channel = _sim.Bec(args.bec) if args.bec is not None else _sim.BiAwgn(args.awgn)
+    code = _cc.polar_code(args.m, args.k, channel)
     save_code(code, args.out)
-    logger.info("frozen set: %s", sorted(spec.frozen))
+    logger.info("frozen set: %s", sorted(set(range(code.n)) - code.gen_set))
     return EXIT_OK
 
 
@@ -124,11 +121,13 @@ def _cmd_perms(args) -> int:
     code = load_code(args.code)
     if not isinstance(code, MonomialCode):
         raise ValueError("permutation ranking needs a monomial code file")
-    channel = _parse_channels(args.channel)[0]
+    channels = _parse_channels(args.channel)
+    if len(channels) != 1:
+        raise ValueError(f"perms ranks at one channel point, not {len(channels)}")
     sel = _cc.select_permutations(
         code,
         args.P,
-        channel,
+        channels[0],
         min_dist=args.min_dist,
         seed=args.seed,
     )
@@ -202,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("frozen", help="channel-based frozen set, written as a code file")
+    p = sub.add_parser("frozen", help="polar code from channel reliabilities, written as a code file")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bec", type=float, default=None, metavar="EPS")

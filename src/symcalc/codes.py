@@ -60,24 +60,6 @@ class MonomialCode:
         return sorted(self.gen_set)
 
 
-@dataclass(frozen=True)
-class FrozenSpec:
-    """The frozen index set of a polar code of length 2^m."""
-
-    m: int
-    frozen: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "frozen", frozenset(self.frozen))
-        n = 1 << self.m
-        if any(not 0 <= i < n for i in self.frozen):
-            raise ValueError("frozen index out of range")
-
-    @property
-    def k(self) -> int:
-        return (1 << self.m) - len(self.frozen)
-
-
 class LinearCode:
     """A binary linear code given by a full-row-rank generator matrix."""
 
@@ -171,12 +153,6 @@ def rm_code(r: int, m: int) -> MonomialCode:
         raise ValueError("order must satisfy 0 <= r <= m")
     gens = frozenset(v for v in range(1 << m) if v.bit_count() <= r)
     return MonomialCode(m, gens)
-
-
-def polar_code(spec: FrozenSpec) -> MonomialCode:
-    """Monomial code keeping the masks of all non-frozen indices."""
-    n = 1 << spec.m
-    return MonomialCode(spec.m, frozenset(i for i in range(n) if i not in spec.frozen))
 
 
 def monomial_min_distance(code: MonomialCode) -> int:

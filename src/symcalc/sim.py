@@ -192,11 +192,18 @@ class SimConfig:
         return ""
 
 
-def check_working_set(code: MonomialCode, config: SimConfig) -> None:
+def check_working_set(code: MonomialCode, config: SimConfig, layer_perm: Sequence[int] | None = None) -> None:
     """Raise ValueError when one batch of `config` on `code` would decode more
     than decode.BATCH_LLR_CELLS LLRs, ML would enumerate more than
-    2^ML_MAX_DIMENSION codewords, or the given layer orders are empty or not
-    permutations of range(m); allocates nothing."""
+    2^ML_MAX_DIMENSION codewords, a layer order is given to a decoder that
+    does not read it (`layer_perm` to perm or ml, `config.perms` to any but
+    perm), or a given layer order is empty or not a permutation of range(m);
+    allocates nothing."""
+    if layer_perm is not None and config.decoder in ("perm", "ml"):
+        raise ValueError(f"the {config.decoder} decoder takes no single layer order")
+    if config.perms is not None and config.decoder != "perm":
+        raise ValueError(f"the {config.decoder} decoder takes no permutation list")
+    _dec.resolve_layer_order(code.m, layer_perm)
     paths = 1
     if config.decoder == "scl":
         paths = min(config.list_size, 1 << code.k)
@@ -312,7 +319,7 @@ def simulate_fer(
     make the outcome independent of batch size.
     """
     start = time.perf_counter()
-    check_working_set(code, config)
+    check_working_set(code, config, layer_perm)
     config = _resolve_perms(code, channel, config)
     totals = _BatchCounts()
 
@@ -362,7 +369,7 @@ def fer_curve(
     """One simulation per channel grid point."""
     if not channels:
         raise ValueError("channel grid is empty")
-    check_working_set(code, config)
+    check_working_set(code, config, layer_perm)
     points = []
     for ch in channels:
         cfg = _resolve_perms(code, ch, config)

@@ -6,15 +6,14 @@ import pytest
 from symcalc.channelconstruct import (
     _ga_error_probs,
     bec_density_evolution,
-    bec_frozen_set,
-    ga_frozen_set,
     ga_llr_means,
     mask_error_probs,
     permutation_distance,
+    polar_code,
     sc_error_estimate,
     select_permutations,
 )
-from symcalc.codes import FrozenSpec, MonomialCode, polar_code
+from symcalc.codes import MonomialCode, monomial_min_distance, rm_code
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
 from symcalc.sim import Bec, BiAwgn, noise_sigma
 
@@ -56,33 +55,35 @@ class TestBecDensityEvolution:
 
 
 class TestFrozenSets:
+    """polar_code keeps the k most reliable masks; the masks it leaves out
+    are the frozen set."""
+
     def test_m1_minus_channel_frozen(self):
-        spec = ga_frozen_set(1, 1, 2.0)
-        assert spec.frozen == frozenset({0})
+        # mask 1 decodes through the degraded (minus) branch
+        assert polar_code(1, 1, BiAwgn(2.0)).gen_set == frozenset({0})
 
     def test_rate_one_keeps_everything(self):
-        assert ga_frozen_set(4, 16, 2.0).frozen == frozenset()
+        assert polar_code(4, 16, BiAwgn(2.0)).gen_set == frozenset(range(16))
 
     def test_bec_frozen_m3(self):
-        spec = bec_frozen_set(3, 4, 0.5)
-        assert spec.frozen == frozenset({0, 1, 2, 4})
-        assert polar_code(spec).gen_set == frozenset({3, 5, 6, 7})
+        assert polar_code(3, 4, Bec(0.5)) == rm_code(1, 3)
 
     def test_ga_separation_m8(self):
-        spec = ga_frozen_set(8, 128, 2.0)
-        mu = ga_llr_means(8, 2.0 / (1.0 / (2 * 0.5 * 10 ** 0.2)))
-        frozen = sorted(spec.frozen)
-        kept = [i for i in range(256) if i not in spec.frozen]
-        assert min(mu[kept]) >= max(mu[frozen])
+        code = polar_code(8, 128, BiAwgn(2.0))
+        assert monomial_min_distance(code) >= 8
+        pe = mask_error_probs(8, BiAwgn(2.0), rate=0.5)
+        kept = code.sorted_masks()
+        frozen = sorted(set(range(256)) - code.gen_set)
+        assert max(pe[kept]) <= min(pe[frozen])
 
     @pytest.mark.parametrize("db", [0.0, 1.0, 2.0, 4.0])
     def test_ga_self_consistency_across_snr(self, db):
-        # at every operating point the frozen set collects the worst positions
-        spec = ga_frozen_set(6, 32, db)
+        # at every operating point the frozen set collects the worst masks
+        code = polar_code(6, 32, BiAwgn(db))
         sigma2 = 1.0 / (2 * 0.5 * 10 ** (db / 10))
-        mu = ga_llr_means(6, 2.0 / sigma2)
-        kept = [i for i in range(64) if i not in spec.frozen]
-        assert min(mu[kept]) >= max(mu[sorted(spec.frozen)])
+        mu = ga_llr_means(6, 2.0 / sigma2)[::-1]  # mask v reads position 63 - v
+        kept = code.sorted_masks()
+        assert min(mu[kept]) >= max(mu[sorted(set(range(64)) - code.gen_set)])
 
     def test_ga_means_monotone_in_snr(self):
         mus = [ga_llr_means(6, 2.0 / (1.0 / (2 * 0.5 * 10 ** (db / 10)))) for db in (0.5, 1.5, 2.5)]
@@ -140,10 +141,41 @@ class TestMaskErrorProbs:
                 expected = float(-np.expm1(np.log1p(-np.minimum(pe, 1.0 - 1e-300)).sum()))
                 assert sc_error_estimate(code, perm, channel) == expected == score
 
-    def test_frozen_spec_accepted(self):
-        spec = FrozenSpec(3, frozenset({0, 1, 2, 4}))
-        est = sc_error_estimate(spec, None, Bec(0.2))
-        assert 0 <= est <= 1
+
+def _position_frozen_set(z: np.ndarray, k: int) -> set[int]:
+    """Reference rule: the n - k worst decode positions by per-position error
+    probability z, ties to the lower position."""
+    n = z.size
+    return set(np.lexsort((np.arange(n), -z))[: n - k].tolist())
+
+
+_BEC_GRID = (0.0, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0)
+_AWGN_GRID = (-10.0, -2.0, 0.0, 1.0, 2.0, 4.0, 8.0, 20.0)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_polar_code_is_complement_of_position_frozen_set(m):
+    """The mask-indexed construction keeps mask n-1-p for exactly the
+    positions p outside the position-indexed frozen set, on every channel of
+    the grid; every k up to m = 6, nine spread values of k beyond."""
+    n = 1 << m
+    ks = range(1, n + 1) if m <= 6 else np.unique(np.linspace(1, n, 9).astype(int)).tolist()
+    channels = [Bec(e) for e in _BEC_GRID] + [BiAwgn(db) for db in _AWGN_GRID]
+    for channel, k in itertools.product(channels, ks):
+        if isinstance(channel, Bec):
+            z = bec_density_evolution(m, channel.eps)
+        else:
+            sigma = noise_sigma(channel.ebn0_db, k / n)
+            z = _ga_error_probs(ga_llr_means(m, 2.0 / sigma**2))
+        frozen = _position_frozen_set(z, k)
+        expected = frozenset(n - 1 - p for p in range(n) if p not in frozen)
+        assert polar_code(m, k, channel).gen_set == expected, (channel, k)
+
+
+@pytest.mark.parametrize("m,k", [(0, 1), (17, 1), (3, 0), (3, 9)])
+def test_polar_code_rejects_bad_shape(m, k):
+    with pytest.raises(ValueError):
+        polar_code(m, k, Bec(0.5))
 
 
 class TestSelectPermutations:

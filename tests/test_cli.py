@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcalc.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, run
-from symcalc.codes import MAX_M, MonomialCode, load_code, rm_code, save_code
+from symcalc.codes import MAX_M, MonomialCode, load_code, monomial_min_distance, rm_code, save_code
 from symcalc.calculus import symmetry_profile
 
 WORKED = {0, 1, 2, 4, 8, 9, 10, 12}
@@ -176,8 +176,23 @@ class TestFrozenCommand:
             code, _, _ = invoke(capsys, "frozen", "--m", "3", "--k", "4", "--bec", "0.5", "--out", str(out))
         assert code == EXIT_OK
         loaded = load_code(out)
-        assert loaded.gen_set == frozenset({3, 5, 6, 7})
-        assert any("frozen set" in rec.message for rec in caplog.records)
+        assert loaded.gen_set == frozenset({0, 1, 2, 4}) == rm_code(1, 3).gen_set
+        assert any("frozen set: [3, 5, 6, 7]" in rec.message for rec in caplog.records)
+
+    def test_awgn_frozen_keeps_distance(self, tmp_path, capsys):
+        out = tmp_path / "p.code"
+        code, _, _ = invoke(capsys, "frozen", "--m", "8", "--k", "128", "--awgn", "2.0", "--out", str(out))
+        assert code == EXIT_OK
+        loaded = load_code(out)
+        assert loaded.k == 128 and monomial_min_distance(loaded) >= 8
+
+    @pytest.mark.parametrize("channel", [("--bec", "0.5"), ("--awgn", "2")])
+    def test_m_zero_exits_2(self, tmp_path, capsys, channel):
+        # load_code rejects m = 0, so frozen must not write such a file
+        out = tmp_path / "p"
+        code, _, err = invoke(capsys, "frozen", "--m", "0", "--k", "1", *channel, "--out", str(out))
+        assert code == EXIT_INVALID
+        assert "error: m=0 is outside 1.." in err and not out.exists()
 
     def test_requires_exactly_one_channel(self, tmp_path, capsys):
         code, _, _ = invoke(capsys, "frozen", "--m", "3", "--k", "4", "--out", str(tmp_path / "p"))
@@ -212,6 +227,14 @@ class TestPermsCommand:
         code, _, err = invoke(capsys, "perms", "--code", str(out), "--P", "1", "--mc-frames", "1")
         assert code == EXIT_INVALID
         assert "unrecognized arguments: --mc-frames" in err
+
+    def test_channel_grid_exits_2(self, tmp_path, capsys):
+        # perms ranks at one operating point; a grid must not drop its tail
+        out = tmp_path / "c.code"
+        invoke(capsys, "construct", "--m", "4", "--t", "3", "--k", "8", "--out", str(out))
+        code, stdout, err = invoke(capsys, "perms", "--code", str(out), "--P", "1", "--channel", "awgn:-5,2.0")
+        assert code == EXIT_INVALID
+        assert "error: perms ranks at one channel point, not 2" in err and not stdout
 
 
 class TestSimulateCommand:
@@ -391,7 +414,7 @@ MALFORMED_FLAGS = {
     "frozen": (
         {"--m": "3", "--k": "4", "--bec": "0.5"},
         {
-            "--m": _int_flag(st.integers(-(2**40), -1) | beyond_m),
+            "--m": _int_flag(not_positive | beyond_m),
             "--k": _int_flag(not_positive | st.integers(9, 2**40)),
             "--bec": st.sampled_from(["-0.1", "1.5", "nan", "inf", "x"]),
             "--awgn": st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "x"]),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from symcalc.bitmath import BitMatrix, GF2mField, kernel_basis, rank
+from symcalc.channelconstruct import polar_code
 from symcalc.codes import (
-    FrozenSpec,
     LinearCode,
     Monomial,
     MonomialCode,
@@ -15,10 +15,10 @@ from symcalc.codes import (
     load_code,
     monomial_min_distance,
     monomial_to_linear,
-    polar_code,
     rm_code,
     save_code,
 )
+from symcalc.sim import Bec, BiAwgn
 
 
 def kronecker_matrix(m: int) -> np.ndarray:
@@ -156,16 +156,18 @@ class TestMinDistance:
 
 class TestPolarCode:
     def test_empty_frozen_set_is_rate_one(self):
-        code = polar_code(FrozenSpec(3, frozenset()))
-        assert code.k == 8
+        for channel in (Bec(0.5), BiAwgn(2.0)):
+            assert polar_code(3, 8, channel).gen_set == frozenset(range(8))
 
     def test_all_but_top_frozen(self):
-        frozen = frozenset(range(7))
-        assert polar_code(FrozenSpec(3, frozen)).gen_set == frozenset({7})
+        # the constant monomial decodes through the all-upgraded branch
+        assert polar_code(3, 1, Bec(0.5)).gen_set == frozenset({0})
 
     def test_worked_frozen_set(self):
-        code = polar_code(FrozenSpec(3, frozenset({0, 1, 2, 4})))
-        assert code.gen_set == frozenset({3, 5, 6, 7})
+        # on BEC(0.5) at length 16 the polar codes of dimension 5 and 11 are
+        # the Reed-Muller codes
+        assert polar_code(4, 5, Bec(0.5)) == rm_code(1, 4)
+        assert polar_code(4, 11, Bec(0.5)) == rm_code(2, 4)
 
 
 class TestEbch:

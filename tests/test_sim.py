@@ -284,6 +284,39 @@ class TestWorkingSet:
         assert calls == [] and peak < 1 << 20
 
     @pytest.mark.parametrize(
+        "config,layer_perm,match",
+        [
+            (SimConfig(decoder="sc"), (0, 0, 0, 0, 0, 0, 0, 0), r"not a permutation of range\(8\)"),
+            (SimConfig(decoder="scl"), (0, 1, 2), r"not a permutation of range\(8\)"),
+            # a layer order the decoder would not read is an error, not ignored
+            (SimConfig(decoder="perm", perm_count=2), tuple(range(8)), "perm decoder takes no single layer order"),
+            (SimConfig(decoder="ml"), tuple(range(8)), "ml decoder takes no single layer order"),
+            (SimConfig(decoder="sc", perms=((0, 0, 0, 0),)), None, "sc decoder takes no permutation list"),
+            (SimConfig(decoder="scl", perms=(tuple(range(8)),)), None, "scl decoder takes no permutation list"),
+            (SimConfig(decoder="ml", perms=(tuple(range(8)),)), None, "ml decoder takes no permutation list"),
+        ],
+        ids=["sc-repeated-variable", "scl-short-order", "perm-layer-perm", "ml-layer-perm",
+             "sc-perms", "scl-perms", "ml-perms"],
+    )
+    def test_layer_orders_checked_before_any_frame(self, monkeypatch, config, layer_perm, match):
+        import symcalc.channelconstruct as cc_mod
+        import symcalc.sim as sim_mod
+
+        calls = []
+        monkeypatch.setattr(sim_mod, "draw_frames", lambda *args: calls.append(args))
+        monkeypatch.setattr(cc_mod, "select_permutations", lambda *args, **kw: calls.append(args))
+        channel = BiAwgn(2.0)
+        with pytest.raises(ValueError, match=match):
+            simulate_fer(self.CODE_256, channel, config, layer_perm)
+        with pytest.raises(ValueError, match=match):
+            fer_curve(self.CODE_256, [channel], config, layer_perm)
+        assert calls == []
+
+    def test_layer_order_accepted_by_sc_and_scl(self):
+        for decoder in ("sc", "scl"):
+            check_working_set(self.CODE_256, SimConfig(decoder=decoder), (7, 6, 5, 4, 3, 2, 1, 0))
+
+    @pytest.mark.parametrize(
         "code,config",
         [
             # criterion 9's largest list, and the benchmark's SCL-256 on the (16,8) code
