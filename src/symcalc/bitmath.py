@@ -277,9 +277,13 @@ def kernel_basis(mat: BitMatrix) -> BitMatrix:
     Row count equals cols - rank(mat); row i is the unit vector of the i-th
     free column plus the pivot columns that cancel it.
     """
-    reduced, pivots = rref(mat)
-    free = np.setdiff1d(np.arange(mat.cols), pivots)
-    out = np.zeros((free.size, mat.cols), dtype=np.uint8)
+    return _kernel_from_rref(*rref(mat))
+
+
+def _kernel_from_rref(reduced: BitMatrix, pivots: list[int]) -> BitMatrix:
+    """kernel_basis of a matrix from its rref(), without a second elimination."""
+    free = np.setdiff1d(np.arange(reduced.cols), pivots)
+    out = np.zeros((free.size, reduced.cols), dtype=np.uint8)
     out[np.arange(free.size), free] = 1
     out[:, pivots] = reduced.head(len(pivots)).to_array()[:, free].T
     return BitMatrix.from_array(out)

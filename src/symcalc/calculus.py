@@ -9,6 +9,13 @@ gives x^(S - {i}) when i is in S and 0 otherwise, so its derivative dimension
 in direction i is the number of its monomials containing x_i.  A linear code
 is profiled by rank: its derivative code is built from the generator's packed
 words and reduced by GF(2) elimination.
+
+A linear code with 2k > n is profiled through its dual, which has fewer rows
+to eliminate.  The kernel of the derivative D_b is Fix_b, the words constant
+on every coset {x, x+b}; Fix_b is self-dual of dimension n/2, so
+dim D_b(C) = n/2 - dim(C^perp & Fix_b) and dim D_b(C^perp) =
+(n - k) - dim(C^perp & Fix_b).  Hence dim D_b(C) = k - n/2 + dim D_b(C^perp)
+for every binary linear code C of length n and dimension k.
 """
 
 from __future__ import annotations
@@ -29,8 +36,9 @@ class SymmetryProfile:
     """Dimensions of the m coordinate-direction derivatives of a code.
 
     dims are support counts for a monomial code and derivative-code ranks for
-    a linear code.  t counts the directions attaining the minimal dimension
-    k_tilde; their indices form target_set.
+    a linear code, found through the dual code when 2k > n.  t counts the
+    directions attaining the minimal dimension k_tilde; their indices form
+    target_set.
     """
 
     dims: tuple[int, ...]
@@ -112,7 +120,9 @@ def symmetry_profile(code: LinearCode | MonomialCode) -> SymmetryProfile:
 
     A monomial code's dimension in direction i is the number of its monomials
     containing x_i (see monomial_derivative_dimension), so it builds no matrix;
-    a linear code's is the rank of its derivative code.
+    a linear code's is the rank of its derivative code.  When 2k > n that rank
+    is k - n/2 plus the rank of the dual code's derivative (see the module
+    docstring), so elimination runs on the n - k rows of `code.dual()`.
     """
     m = code.m
     if m < 1:
@@ -120,7 +130,8 @@ def symmetry_profile(code: LinearCode | MonomialCode) -> SymmetryProfile:
     if isinstance(code, MonomialCode):
         dims = tuple(monomial_derivative_dimension(code, i) for i in range(m))
     else:
-        dims = tuple(directional_derivative_code(code, 1 << i).k for i in range(m))
+        small, shift = (code.dual(), code.k - code.n // 2) if 2 * code.k > code.n else (code, 0)
+        dims = tuple(shift + directional_derivative_code(small, 1 << i).k for i in range(m))
     k_tilde = min(dims)
     targets = frozenset(i for i, d in enumerate(dims) if d == k_tilde)
     return SymmetryProfile(dims, len(targets), k_tilde, targets)

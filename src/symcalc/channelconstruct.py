@@ -158,13 +158,26 @@ def sc_error_estimate(code: MonomialCode, perm: Sequence[int] | None, channel: C
     return float(_union_bound_scores(code, channel, np.array([perm], dtype=np.int64))[0])
 
 
+# cells of the (orders, k) position and log arrays gathered at a time
+_SCORE_CHUNK_CELLS = 1 << 20
+
+
 def _union_bound_scores(code: MonomialCode, channel: ChannelModel, perms: np.ndarray) -> np.ndarray:
     """Union-bound SC frame-error estimate of the code under each of the
-    (P, m) layer orders: 1 - prod(1 - p_v) over its masks v."""
+    (P, m) layer orders: 1 - prod(1 - p_v) over its masks v.
+
+    The orders are gathered in chunks of at most _SCORE_CHUNK_CELLS cells;
+    each row's sum does not depend on the chunking, and expm1 runs once on
+    the whole vector of sums.
+    """
     branch = _branch_error_probs(code.m, channel, code.k / code.n)
     log_ok = np.log1p(-np.minimum(branch, 1.0 - 1e-300))
-    pos = branch_positions(np.array(code.sorted_masks(), dtype=np.int64), perms)
-    return -np.expm1(log_ok[pos].sum(axis=1))
+    masks = np.array(code.sorted_masks(), dtype=np.int64)
+    step = max(1, _SCORE_CHUNK_CELLS // max(1, masks.size))
+    sums = np.empty(perms.shape[0], dtype=np.float64)
+    for lo in range(0, perms.shape[0], step):
+        sums[lo : lo + step] = log_ok[branch_positions(masks, perms[lo : lo + step])].sum(axis=1)
+    return -np.expm1(sums)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bitmath import BitMatrix, BitVec, GF2mField, kernel_basis, rank, rref
+from .bitmath import BitMatrix, BitVec, GF2mField, _kernel_from_rref, kernel_basis, rank, rref
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class MonomialCode:
 class LinearCode:
     """A binary linear code given by a full-row-rank generator matrix."""
 
-    __slots__ = ("n", "generator", "_canonical", "_array")
+    __slots__ = ("n", "generator", "_canonical", "_array", "_dual")
 
     def __init__(self, generator: BitMatrix, validate: bool = True):
         if validate and rank(generator) != generator.rows:
@@ -72,6 +72,7 @@ class LinearCode:
         self.generator = generator
         self._canonical = None
         self._array = None
+        self._dual = None
 
     @classmethod
     def from_spanning_rows(cls, rows: Iterable[int | BitVec], n: int) -> "LinearCode":
@@ -101,6 +102,16 @@ class LinearCode:
             reduced, pivots = rref(self.generator)
             self._canonical = reduced.head(len(pivots))
         return self._canonical
+
+    def dual(self) -> "LinearCode":
+        """The dual code {y : G y^T = 0}, of dimension n - k.
+
+        Computed once by kernel_basis, unless the constructor of the code
+        seeded it (ebch_code does, from its parity check).
+        """
+        if self._dual is None:
+            self._dual = LinearCode(kernel_basis(self.generator), validate=False)
+        return self._dual
 
     def same_code(self, other: "LinearCode") -> bool:
         return self.n == other.n and self.canonical() == other.canonical()
@@ -171,6 +182,11 @@ def monomial_to_linear(code: MonomialCode) -> LinearCode:
     return LinearCode(BitMatrix.from_array(evals), validate=False)
 
 
+# ebch_code builds arrays of about n * n cells: the parity check, the power
+# table and the dense uint8 kernel.  Above this bound (m > 11) it refuses.
+EBCH_MAX_CELLS = 1 << 22
+
+
 def ebch_code(fld: GF2mField, delta: int) -> LinearCode:
     """Extended BCH code of length 2^m from a design-distance parity check.
 
@@ -180,19 +196,32 @@ def ebch_code(fld: GF2mField, delta: int) -> LinearCode:
     Coordinate x carries the field element whose polynomial-basis mask is x,
     so the ambient translations x -> x + b act as field translations and the
     affine symmetry of the code is visible to the derivative calculus.
+
+    Squaring is GF(2)-linear, so the bits of x^(2j) are combinations of the
+    bits of x^j: only the exponents j that are the least of their cyclotomic
+    coset mod 2^m - 1 are kept, and they span the same rows.  One elimination
+    of that check gives both the generator (its kernel) and the dual code
+    (its nonzero reduced rows), which seeds `dual()`.
     """
     m = fld.m
     n = 1 << m
     if not 2 <= delta <= n - 1:
         raise ValueError(f"design distance must be in [2, {n - 1}]")
-    # row 0 is the overall parity; row (j - 1) * m + b + 1 holds bit b of x^j
-    # over all x, for j = 1..delta-2 (0^j = 0 at the extension)
-    h_ext = np.ones((1 + (delta - 2) * m, n), dtype=np.uint8)
-    bits = h_ext[1:].reshape(delta - 2, m, n)
-    powers = fld.powers(range(1, delta - 1))
+    if n * n > EBCH_MAX_CELLS:
+        raise ValueError(f"ebch_code needs about n*n = {n * n} cells, above {EBCH_MAX_CELLS}")
+    order = n - 1
+    leaders = [j for j in range(1, delta - 1) if all((j << s) % order >= j for s in range(1, m))]
+    # row 0 is the overall parity; row i * m + b + 1 holds bit b of x^j over
+    # all x, for the i-th leader j (0^j = 0 at the extension)
+    h_ext = np.ones((1 + len(leaders) * m, n), dtype=np.uint8)
+    bits = h_ext[1:].reshape(len(leaders), m, n)
+    powers = fld.powers(leaders)
     for b in range(m):
         bits[:, b] = (powers >> b) & 1
-    return LinearCode(kernel_basis(BitMatrix.from_array(h_ext)), validate=False)
+    reduced, pivots = rref(BitMatrix.from_array(h_ext))
+    code = LinearCode(_kernel_from_rref(reduced, pivots), validate=False)
+    code._dual = LinearCode(reduced.head(len(pivots)), validate=False)
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,46 @@ class TestSymmetryProfile:
         assert all(prof.dims[i] > prof.k_tilde for i in range(3, 4))
 
 
+def generator_path_dims(code):
+    """Reference profile: derivative ranks on the generator in every direction."""
+    return tuple(directional_derivative_code(code, 1 << i).k for i in range(code.m))
+
+
+def random_linear_code(rng, m, k, extra):
+    """A code of dimension exactly k: a systematic generator on a random
+    coordinate order, spanned by its rows plus `extra` XORs of them."""
+    n = 1 << m
+    cols = rng.permutation(n)
+    gen = np.zeros((k, n), dtype=np.uint8)
+    gen[np.arange(k), cols[:k]] = 1
+    gen[:, cols[k:]] = rng.integers(0, 2, size=(k, n - k))
+    gen = np.vstack([gen, (rng.integers(0, 2, size=(extra, k)) @ gen) % 2])
+    return LinearCode.from_spanning_rows(BitMatrix.from_array(rng.permutation(gen)).row_ints(), n)
+
+
+class TestDualProfile:
+    """A linear code with 2k > n is profiled through its dual."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_random_codes_match_generator_path(self, m, data):
+        n = 1 << m
+        k = data.draw(st.sampled_from([0, n // 2, n // 2 + 1, n]) | st.integers(0, n))
+        extra = data.draw(st.integers(0, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        code = random_linear_code(rng, m, k, extra)
+        assert code.k == k
+        assert symmetry_profile(code).dims == generator_path_dims(code)
+
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_ebch_codes_match_generator_path(self, m):
+        n = 1 << m
+        fld = GF2mField(m)
+        for delta in sorted({2, 3, 4, 5, 7, 11, 31, n - 1} & set(range(2, min(n, 32)))):
+            code = ebch_code(fld, delta)
+            assert symmetry_profile(code).dims == generator_path_dims(code), (m, delta)
+
+
 class TestIsInvariant:
     def test_identity(self):
         code = monomial_to_linear(rm_code(1, 3))

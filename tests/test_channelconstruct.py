@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,3 +232,16 @@ class TestSelectPermutations:
         assert sel[2**63].sampled
         assert sel[2**63].perms != sel[2**63 + 1024].perms
         assert sel[-5] == select_permutations(code, 4, Bec(0.5), min_dist=3, seed=2**64 - 5)
+
+    def test_memory_bounded_and_flat_in_k(self):
+        # the union-bound scores gather the sampled orders in bounded chunks,
+        # so the peak is set by the 100,000 candidate orders, not by k
+        peaks = {}
+        for k in (64, 256):
+            code = MonomialCode(9, frozenset(range(k)))
+            tracemalloc.start()
+            select_permutations(code, 4, BiAwgn(2.0), min_dist=3)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert max(peaks.values()) < 64 << 20, peaks
+        assert peaks[256] < 1.1 * peaks[64], peaks

@@ -6,13 +6,24 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symcalc.bitmath import BitMatrix, GF2mField
 from symcalc.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, run
-from symcalc.codes import MAX_M, MonomialCode, load_code, monomial_min_distance, rm_code, save_code
-from symcalc.calculus import symmetry_profile
+from symcalc.codes import (
+    MAX_M,
+    LinearCode,
+    MonomialCode,
+    ebch_code,
+    load_code,
+    monomial_min_distance,
+    rm_code,
+    save_code,
+)
+from symcalc.calculus import directional_derivative_code, symmetry_profile
 
 WORKED = {0, 1, 2, 4, 8, 9, 10, 12}
 
@@ -85,6 +96,28 @@ class TestAnalyzeCommand:
         lines = stdout.strip().splitlines()
         assert lines[1:-1] == [f"{i},1" for i in range(16)]
         assert lines[-1] == "t=16,k_tilde=1"
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            ebch_code(GF2mField(6), 5),
+            LinearCode(BitMatrix.from_array(np.eye(64, dtype=np.uint8))),
+            LinearCode(BitMatrix.from_rows([], 64)),
+        ],
+        ids=["ebch-6-5", "rate-one", "empty"],
+    )
+    def test_linear_file_matches_generator_path(self, code, tmp_path, capsys):
+        # a loaded linear code has no seeded dual; one with 2k > n is profiled
+        # through the dual that kernel_basis computes
+        out = tmp_path / "lin.code"
+        save_code(code, out)
+        exit_code, stdout, _ = invoke(capsys, "analyze", "--code", str(out))
+        assert exit_code == EXIT_OK
+        loaded = load_code(out)
+        ref = [directional_derivative_code(loaded, 1 << i).k for i in range(6)]
+        lines = stdout.strip().splitlines()
+        assert lines[1:-1] == [f"{i},{d}" for i, d in enumerate(ref)]
+        assert lines[-1] == f"t={ref.count(min(ref))},k_tilde={min(ref)}"
 
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "analyze", "--code", "/nonexistent.code")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,28 @@ class TestEbch:
             expected = kernel_basis(BitMatrix.from_rows(rows, n))
             assert ebch_code(fld, delta).generator == expected, (m, delta)
 
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_seeded_dual_is_kernel_of_generator(self, m):
+        n = 1 << m
+        fld = GF2mField(m)
+        for delta in sorted({2, 3, 5, 11, 31, n - 1} & set(range(2, min(n, 32)))):
+            code = ebch_code(fld, delta)
+            dual = code.dual()
+            assert dual.k == n - code.k
+            assert not ((code.generator_array() @ dual.generator_array().T) % 2).any()
+            assert dual.same_code(LinearCode(kernel_basis(code.generator), validate=False))
+
+    def test_oversized_field_refused_before_allocating(self):
+        fld = GF2mField(16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cells"):
+                ebch_code(fld, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_field_powers_match_pow(self):
         fld = GF2mField(5)
         table = fld.powers([1, 2, 7, 31, 40])
@@ -259,6 +282,19 @@ class TestLinearCode:
         a = LinearCode(BitMatrix.from_rows([0b011, 0b110], 3))
         b = LinearCode(BitMatrix.from_rows([0b101, 0b110], 3))
         assert a.same_code(b)
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_dual_dimension_and_orthogonality(self, m):
+        n = 1 << m
+        rng = np.random.RandomState(m)
+        spans = [random_bits(rng, (r, n)) for r in (0, 1, n // 2, n // 2 + 1, n + 2)]
+        for gen in spans + [np.eye(n, dtype=np.uint8)]:
+            code = LinearCode.from_spanning_rows(BitMatrix.from_array(gen).row_ints(), n)
+            dual = code.dual()
+            assert dual.k == n - code.k and dual.n == n
+            assert not ((code.generator_array() @ dual.generator_array().T) % 2).any()
+            assert dual.dual().same_code(code)
+            assert code.dual() is dual
 
 
 class TestFileFormat:
