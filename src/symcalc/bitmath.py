@@ -224,16 +224,17 @@ def _eliminate(data: np.ndarray, cols: int) -> list[int]:
     below the pivots found so far.  A table of all 2^p XOR combinations of the
     p picked rows then clears the strip's pivot columns in every row with one
     indexed XOR, which zeroes the picked rows; the p pivot rows take their
-    places below the earlier pivots.
+    places below the earlier pivots.  Elimination stops once every row below
+    the pivots is zero, so a low-rank matrix skips its remaining strips.
     """
-    rows = data.shape[0]
     # the strip of columns 8s..8s+7 is byte s of a row on a little-endian host
     data_bytes = data.view(np.uint8)
     flip = 0 if sys.byteorder == "little" else 7
     pivots: list[int] = []
     r = 0
+    live = data.any()
     for c0 in range(0, cols, _STRIP):
-        if r == rows:
+        if not live:
             break
         pat = data_bytes[:, (c0 // _STRIP) ^ flip]
         picked, bits, combos = _strip_pivots(pat[r:].tolist(), r)
@@ -252,6 +253,7 @@ def _eliminate(data: np.ndarray, cols: int) -> list[int]:
         data[r : r + p] = table[combos]
         pivots.extend(c0 + b for b in bits)
         r += p
+        live = data[r:].any()
     return pivots
 
 

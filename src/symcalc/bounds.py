@@ -15,6 +15,7 @@ All arithmetic is exact; rates become floats only at the reporting boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -53,6 +54,10 @@ def partially_symmetric_lb(m: int, t: int, k: int) -> tuple[int, SymmetricDecomp
     Non-representable k fall back to the largest representable k' <= k and
     are flagged exact=False.
     """
+    for name, value in (("m", m), ("t", t), ("k", k)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name}={value!r} is not an integer")
+    check_m(m, low=1)
     if not 1 <= t <= m:
         raise ValueError("need 1 <= t <= m")
     if not 0 < k <= (1 << m):

@@ -128,7 +128,9 @@ def symmetry_profile(code: LinearCode | MonomialCode) -> SymmetryProfile:
     if m < 1:
         raise ValueError(f"a symmetry profile needs m >= 1, got m={m}")
     if isinstance(code, MonomialCode):
-        dims = tuple(monomial_derivative_dimension(code, i) for i in range(m))
+        masks = np.fromiter(code.gen_set, dtype=np.uint64, count=code.k)
+        bits = (masks[:, None] >> np.arange(m, dtype=np.uint64)) & 1
+        dims = tuple(bits.sum(axis=0).tolist())
     else:
         small, shift = (code.dual(), code.k - code.n // 2) if 2 * code.k > code.n else (code, 0)
         dims = tuple(shift + directional_derivative_code(small, 1 << i).k for i in range(m))

@@ -19,7 +19,11 @@ from . import channelconstruct as _cc
 from . import sim as _sim
 from .calculus import symmetry_profile
 from .codes import MonomialCode, check_m, load_code, monomial_min_distance, save_code
-from .construct import ConstructionRequest, NonRepresentableError, construct_partially_symmetric
+from .construct import (
+    ConstructionRequest,
+    NonRepresentableError,
+    construct_partially_symmetric_trace,
+)
 
 logger = logging.getLogger("symcalc")
 
@@ -59,7 +63,7 @@ def _emit(lines, out: str | None):
 def _cmd_construct(args) -> int:
     req = ConstructionRequest(m=args.m, t=args.t, k=args.k, rm_order=args.rm_order)
     try:
-        code = construct_partially_symmetric(req)
+        code, log = construct_partially_symmetric_trace(req)
     except NonRepresentableError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -67,6 +71,14 @@ def _cmd_construct(args) -> int:
     logger.info(
         "wrote (%d,%d,%d) code to %s", code.n, code.k, monomial_min_distance(code), args.out
     )
+    if args.trace:
+        lines = ["stage,l_hat,degree,masks"]
+        lines.extend(
+            f"{s.stage},{s.l_hat},{'' if s.degree is None else s.degree},"
+            + " ".join(format(v, "x") for v in s.masks)
+            for s in log
+        )
+        _emit(lines, None)
     return EXIT_OK
 
 
@@ -185,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rm-order", type=int, default=None, dest="rm_order")
     p.add_argument("--out", required=True)
+    p.add_argument("--trace", action="store_true", help="print the removal log as CSV on stdout")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("analyze", help="derivative dimensions and symmetry profile")

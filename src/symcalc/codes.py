@@ -9,6 +9,7 @@ maps coefficient vectors to codewords.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,8 +45,15 @@ class MonomialCode:
 
     def __post_init__(self):
         object.__setattr__(self, "gen_set", frozenset(self.gen_set))
+        check_m(self.m)
+        try:  # a sum of integers is an integer: one C-level pass screens out other types
+            integral = isinstance(sum(self.gen_set), numbers.Integral)
+        except TypeError:
+            integral = False
+        if not integral:
+            raise ValueError("generating-set masks must be integers")
         n = 1 << self.m
-        if any(not 0 <= v < n for v in self.gen_set):
+        if self.gen_set and not 0 <= min(self.gen_set) <= max(self.gen_set) < n:
             raise ValueError("generating-set mask out of range")
 
     @property

@@ -5,6 +5,10 @@ removed in order of decreasing target count tau(v) = |support(v) in targets|,
 then decreasing degree within the boundary tier, then anchored batches, and
 finally a balanced residual batch chosen so that every target variable loses
 the same number of derivative monomials.  Targets are variables 0..t-1.
+
+The monomials still in the code are a boolean array `alive` indexed by mask,
+so each removal batch is one array selection over the 2^m masks, read against
+a cached degree (popcount) table; tau(v) is the degree of v & (2^t - 1).
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 from .codes import MonomialCode, check_m
 
@@ -142,30 +148,14 @@ def biregular_subgraph(t: int, l: int, keep_count: int, candidates: Iterable[int
 # the construction
 
 
-def _initial_masks(m: int, rm_order: int | None) -> set[int]:
-    if rm_order is None:
-        return set(range(1 << m))
-    return {v for v in range(1 << m) if v.bit_count() <= rm_order}
-
-
-def _desc(masks: Iterable[int]) -> list[int]:
-    return sorted(masks, reverse=True)
-
-
-def _stage1(masks: set[int], t: int, k: int, log: list[RemovalStep]) -> int:
-    """Remove whole tau tiers while possible; returns the boundary l_hat."""
-    t_mask = (1 << t) - 1
-    l_hat = t
-    while l_hat >= 1:
-        tier = [v for v in masks if (v & t_mask).bit_count() == l_hat]
-        if len(masks) - len(tier) < k:
-            break
-        if tier:
-            ordered = sorted(tier, key=lambda v: (-v.bit_count(), -v))
-            log.append(RemovalStep("tier", l_hat, None, tuple(ordered)))
-            masks.difference_update(tier)
-        l_hat -= 1
-    return l_hat
+@functools.lru_cache(maxsize=None)
+def _degrees(m: int) -> np.ndarray:
+    """Degree (popcount) of every m-bit monomial mask, indexed by the mask."""
+    degree = np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        degree = np.concatenate((degree, degree + 1))
+    degree.flags.writeable = False
+    return degree
 
 
 def construct_partially_symmetric_trace(
@@ -178,66 +168,70 @@ def construct_partially_symmetric_trace(
         raise NonRepresentableError(req, below, above)
 
     t_mask = (1 << t) - 1
-    masks = _initial_masks(m, req.rm_order)
+    degree = _degrees(m)
+    tau = degree[np.arange(1 << m) & t_mask]  # tau(v): the degree of v's target part
+    alive = np.ones(1 << m, dtype=bool) if req.rm_order is None else degree <= req.rm_order
+    count = int(np.count_nonzero(alive))
     log: list[RemovalStep] = []
 
-    l_hat = _stage1(masks, t, k, log)
-    if len(masks) == k:
-        return _finish(req, masks, log)
-
-    def boundary(degree: int) -> list[int]:
-        return [
-            v
-            for v in masks
-            if (v & t_mask).bit_count() == l_hat and v.bit_count() == degree
-        ]
-
-    max_deg = m - t + l_hat if req.rm_order is None else min(m - t + l_hat, req.rm_order)
-    d_hat = max_deg
-    while d_hat >= l_hat:
-        sub = boundary(d_hat)
-        if len(masks) - len(sub) < k:
+    # whole tau tiers, highest first, while enough monomials remain
+    l_hat = t
+    while l_hat >= 1:
+        tier = np.flatnonzero(alive & (tau == l_hat))
+        if count - tier.size < k:
             break
-        if sub:
-            log.append(RemovalStep("degree", l_hat, d_hat, tuple(_desc(sub))))
-            masks.difference_update(sub)
+        if tier.size:
+            ordered = tier[np.lexsort((-tier, -degree[tier]))]
+            log.append(RemovalStep("tier", l_hat, None, tuple(ordered.tolist())))
+            alive[tier] = False
+            count -= tier.size
+        l_hat -= 1
+    if count == k:
+        return _finish(req, alive, log)
+
+    # the boundary tier l_hat, highest degree first
+    boundary = alive & (tau == l_hat)
+    sizes = np.bincount(degree[boundary], minlength=m + 1)
+    d_hat = min(m - t + l_hat, m if req.rm_order is None else req.rm_order)
+    while d_hat >= l_hat:
+        if count - sizes[d_hat] < k:
+            break
+        if sizes[d_hat]:
+            sub = np.flatnonzero(boundary & (degree == d_hat))[::-1]
+            log.append(RemovalStep("degree", l_hat, d_hat, tuple(sub.tolist())))
+            alive[sub] = False
+            count -= sub.size
         d_hat -= 1
-        if len(masks) == k:
-            return _finish(req, masks, log)
+        if count == k:
+            return _finish(req, alive, log)
 
     # anchored removals: fix a degree-(d_hat - l_hat) monomial on the
     # non-target variables and drop all boundary monomials containing it
     per_anchor = math.comb(t, l_hat)
-    anchors = sorted(
-        s
-        for s in range(1 << m)
-        if s & t_mask == 0 and s.bit_count() == d_hat - l_hat
-    )
-    target_parts = [sum(1 << i for i in combo) for combo in combinations(range(t), l_hat)]
-    anchor_iter = iter(anchors)
-    while len(masks) - per_anchor >= k:
-        s = next(anchor_iter)
-        family = [s | p for p in target_parts]
-        log.append(RemovalStep("anchor", l_hat, d_hat, tuple(_desc(family))))
-        masks.difference_update(family)
-    if len(masks) == k:
-        return _finish(req, masks, log)
+    anchors = np.flatnonzero((tau == 0) & (degree == d_hat - l_hat))
+    target_parts = np.flatnonzero(degree[: 1 << t] == l_hat)[::-1]
+    used = (count - k) // per_anchor
+    families = anchors[: used + 1, None] | target_parts  # rows in descending order
+    log.extend(RemovalStep("anchor", l_hat, d_hat, tuple(f)) for f in families[:used].tolist())
+    alive[families[:used]] = False
+    count -= used * per_anchor
+    if count == k:
+        return _finish(req, alive, log)
 
     # balanced residual inside one fresh anchor family
-    residual = len(masks) - k
-    s = next(anchor_iter)
-    family = [s | p for p in target_parts]
-    kept = biregular_subgraph(t, l_hat, per_anchor - residual, family)
+    family = families[used].tolist()
+    kept = biregular_subgraph(t, l_hat, per_anchor - (count - k), family)
     removed = [v for v in family if v not in kept]
-    log.append(RemovalStep("residual", l_hat, d_hat, tuple(_desc(removed))))
-    masks.difference_update(removed)
-    return _finish(req, masks, log)
+    log.append(RemovalStep("residual", l_hat, d_hat, tuple(removed)))
+    alive[removed] = False
+    return _finish(req, alive, log)
 
 
-def _finish(req, masks, log) -> tuple[MonomialCode, list[RemovalStep]]:
-    assert len(masks) == req.k
-    code = MonomialCode(req.m, frozenset(masks))
-    max_deg = max((v.bit_count() for v in masks), default=0)
+def _finish(req, alive, log) -> tuple[MonomialCode, list[RemovalStep]]:
+    masks = np.flatnonzero(alive)
+    assert masks.size == req.k
+    code = MonomialCode(req.m, frozenset(masks.tolist()))
+    max_deg = int(_degrees(req.m)[masks].max())
     if max_deg >= req.m - 1 and req.k < (1 << req.m):
         _warn_low_distance(req.m, req.t, req.k, 1 << (req.m - max_deg))
     return code, log

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symcalc.bitmath as bitmath
+import symcalc.calculus as calculus
 from symcalc.bitmath import (
     PRIMITIVE_POLYS,
     BitMatrix,
@@ -12,6 +14,7 @@ from symcalc.bitmath import (
     rank,
     rref,
 )
+from symcalc.codes import ebch_code
 
 
 def identity(n: int) -> BitMatrix:
@@ -219,6 +222,62 @@ def test_kernel_basis_matches_per_column_reference(mat):
     assert ker.rows == mat.cols - rank(mat)
     prod = mat.to_array().astype(np.float64) @ ker.to_array().T.astype(np.float64)
     assert not (prod.astype(np.int64) % 2).any()
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The row offset of every strip that _eliminate scans, in order."""
+    offsets = []
+    strip_pivots = bitmath._strip_pivots
+    monkeypatch.setattr(
+        bitmath, "_strip_pivots", lambda below, r: (offsets.append(r), strip_pivots(below, r))[1]
+    )
+    return offsets
+
+
+def _ebch_dual_derivatives(monkeypatch, delta):
+    """The matrices that symmetry_profile eliminates for the m = 9 eBCH code
+    of design distance delta: its dual code's derivative in each direction."""
+    captured = []
+
+    def spy(mat):
+        captured.append(mat)
+        return rref(mat)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calculus, "rref", spy)
+        calculus.symmetry_profile(ebch_code(GF2mField(9), delta))
+    return captured
+
+
+@pytest.mark.parametrize(
+    "delta, rows, rank_, last_strips", [(3, 10, 1, {0}), (11, 46, 18, {16}), (31, 136, 63, {20, 24})]
+)
+def test_low_rank_elimination_stops_after_the_last_pivot(
+    monkeypatch, scanned, delta, rows, rank_, last_strips
+):
+    """Once the rows below the pivots are zero no further strip is scanned,
+    and the result still equals the per-column reference."""
+    mats = _ebch_dual_derivatives(monkeypatch, delta)
+    assert len(mats) == 9
+    for mat in mats:
+        scanned.clear()
+        reduced, pivots = rref(mat)
+        assert (mat.rows, mat.cols, len(pivots)) == (rows, 256, rank_)
+        assert pivots[-1] // 8 in last_strips
+        assert len(scanned) == pivots[-1] // 8 + 1
+        ref_reduced, ref_pivots = ref_rref(mat)
+        assert pivots == ref_pivots and reduced == ref_reduced
+        assert kernel_basis(mat) == ref_kernel_basis(mat)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 10, 136])
+def test_all_zero_matrix_scans_no_strip(scanned, rows):
+    mat = zeros(rows, 256)
+    reduced, pivots = rref(mat)
+    assert scanned == [] and pivots == [] and rank(mat) == 0
+    assert (reduced, pivots) == ref_rref(mat)
+    assert kernel_basis(mat) == ref_kernel_basis(mat) == identity(256)
 
 
 def test_head_shares_rows():

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,35 @@ class TestPartialBound:
             partially_symmetric_lb(4, 0, 4)
         with pytest.raises(ValueError):
             partially_symmetric_lb(4, 5, 4)
+
+    def test_m_beyond_limit_refused_before_allocating(self):
+        """An m past the package limit is refused before 1 << m is built."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="outside"):
+                partially_symmetric_lb(200_000_000, 3, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "args", [(4.0, 3, 8), (4, 3.0, 8), (4, 3, 5.5), (4, 3, 8.0), (4, 3, "8"), (4, 3, Fraction(8))]
+    )
+    def test_non_integer_arguments_rejected(self, args):
+        with pytest.raises(ValueError, match="not an integer"):
+            partially_symmetric_lb(*args)
+
+    def test_fully_symmetric_checks_its_input(self):
+        for m, k in [(0, 1), (17, 1), (200_000_000, 5)]:
+            with pytest.raises(ValueError, match="outside"):
+                fully_symmetric_lb(m, k)
+        with pytest.raises(ValueError, match="not an integer"):
+            fully_symmetric_lb(4, 5.5)
+
+    def test_numpy_integers_accepted(self):
+        args = (np.int64(4), np.int64(3), np.int64(8))
+        assert partially_symmetric_lb(*args) == partially_symmetric_lb(4, 3, 8)
 
 
 @settings(max_examples=80, deadline=None)

@@ -66,6 +66,38 @@ class TestConstructCommand:
         assert code == EXIT_INVALID
         assert "error: " in err and not out.exists()
 
+    # (6, 4, 28) takes every stage: two tiers, a degree, an anchor and a residual
+    ALL_STAGES = ("--m", "6", "--t", "4", "--k", "28")
+    ALL_STAGES_FILE = (
+        "m=6 type=monomial\n0\n1\n2\n3\n4\n5\n6\n8\n9\na\nc\n10\n11\n12\n14\n18\n"
+        "20\n21\n22\n24\n25\n28\n2a\n30\n31\n32\n34\n38\n"
+    )
+
+    def test_trace_prints_removal_log(self, tmp_path, capsys):
+        out_file = str(tmp_path / "c")
+        code, out, _ = invoke(capsys, "construct", *self.ALL_STAGES, "--out", out_file, "--trace")
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "stage,l_hat,degree,masks",
+            "tier,4,,3f 2f 1f f",
+            "tier,3,,3e 3d 3b 37 2e 2d 2b 27 1e 1d 1b 17 e d b 7",
+            "degree,2,4,3c 3a 39 36 35 33",
+            "anchor,2,3,1c 1a 19 16 15 13",
+            "residual,2,3,2c 29 26 23",
+        ]
+
+    def test_trace_of_rate_one_code_is_header_only(self, tmp_path, capsys):
+        args = ("--m", "3", "--t", "2", "--k", "8", "--out", str(tmp_path / "c"), "--trace")
+        code, out, _ = invoke(capsys, "construct", *args)
+        assert code == EXIT_OK and out == "stage,l_hat,degree,masks\n"
+
+    def test_code_file_unchanged_by_trace(self, tmp_path, capsys):
+        plain, traced = tmp_path / "plain.code", tmp_path / "traced.code"
+        code, out, _ = invoke(capsys, "construct", *self.ALL_STAGES, "--out", str(plain))
+        assert code == EXIT_OK and out == ""
+        invoke(capsys, "construct", *self.ALL_STAGES, "--out", str(traced), "--trace")
+        assert plain.read_text() == traced.read_text() == self.ALL_STAGES_FILE
+
 
 class TestAnalyzeCommand:
     def test_round_trip_profile(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symcalc.bitmath import BitMatrix, GF2mField, kernel_basis, rank
+from symcalc.calculus import symmetry_profile
 from symcalc.channelconstruct import polar_code
 from symcalc.codes import (
     LinearCode,
@@ -250,6 +251,31 @@ class TestEbch:
         code = ebch_code(GF2mField(4), 2)
         arr = code.generator_array()
         assert (arr.sum(axis=1) % 2 == 0).all()
+
+
+class TestMonomialCode:
+    @pytest.mark.parametrize("m, masks", [(3, {8}), (3, {-1}), (0, {1}), (4, {0, 5, 16})])
+    def test_mask_out_of_range_rejected(self, m, masks):
+        with pytest.raises(ValueError, match="out of range"):
+            MonomialCode(m, frozenset(masks))
+
+    @pytest.mark.parametrize("m", [-1, 17, 200_000_000])
+    def test_m_beyond_limit_rejected(self, m):
+        with pytest.raises(ValueError, match="outside"):
+            MonomialCode(m, frozenset())
+
+    @pytest.mark.parametrize("masks", [{1.5}, {2.0}, {0, 1, 0.5}, {"3"}, {None}])
+    def test_non_integer_mask_rejected(self, masks):
+        with pytest.raises(ValueError, match="integers"):
+            MonomialCode(2, frozenset(masks))
+
+    def test_numpy_integer_masks_accepted(self):
+        code = MonomialCode(3, frozenset(np.arange(5, dtype=np.uint16).tolist() + [np.int64(7)]))
+        assert symmetry_profile(code).dims == (3, 3, 2)
+
+    def test_extreme_masks_accepted(self):
+        assert MonomialCode(16, frozenset({0, (1 << 16) - 1})).k == 2
+        assert MonomialCode(0, frozenset({0})).k == 1
 
 
 class TestMonomialToLinear:

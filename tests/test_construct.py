@@ -1,3 +1,5 @@
+import hashlib
+import logging
 import math
 import time
 
@@ -9,6 +11,7 @@ from symcalc.bounds import partially_symmetric_lb, representable_dimensions
 from symcalc.calculus import (
     directional_derivative_code,
     is_invariant,
+    monomial_derivative_dimension,
     symmetry_profile,
 )
 from symcalc.codes import monomial_min_distance, monomial_to_linear, rm_code
@@ -252,3 +255,45 @@ class TestCompanionProperties:
                     lb, dec = partially_symmetric_lb(m - 1, t - 1, deriv.k)
                     prof = symmetry_profile(deriv)
                     assert prof.k_tilde == lb, (m, t, k, i)
+
+
+class TestGoldenConstruction:
+    """Every code and removal log, pinned by digest.
+
+    The digests were computed before the construction moved from sets of
+    ints to a boolean array over the masks; any change to a code, to the
+    order of a removal step or to its stage, l_hat or degree changes them.
+    """
+
+    # (m range, k stride per m, requests, sha256)
+    CASES = [
+        (range(1, 8), {}, 2900, "e2a54e38146ddaac951fbd175a06e68cbb31fcd4a5d7f503f652c00491c36f60"),
+        ((8, 9), {8: 5, 9: 7}, 2221, "73dc393526e45edd1fb746ba4e24a5856d9c3285483e3571bb2ae712337b3279"),
+    ]
+
+    @staticmethod
+    def requests(ms, stride):
+        for m in ms:
+            for t in range(1, m + 1):
+                for rm_order in (None, *range(m + 1)):
+                    for k in achievable_dimensions(m, t, rm_order)[:: stride.get(m, 1)]:
+                        yield ConstructionRequest(m, t, k, rm_order)
+
+    @pytest.mark.parametrize("ms, stride, count, expected", CASES)
+    def test_codes_logs_and_profiles(self, ms, stride, count, expected):
+        digest = hashlib.sha256()
+        seen = 0
+        logging.disable(logging.WARNING)
+        try:
+            for req in self.requests(ms, stride):
+                code, log = construct_partially_symmetric_trace(req)
+                steps = tuple((s.stage, s.l_hat, s.degree, s.masks) for s in log)
+                record = (req.m, req.t, req.k, req.rm_order, tuple(sorted(code.gen_set)), steps)
+                digest.update(repr(record).encode())
+                dims = tuple(monomial_derivative_dimension(code, i) for i in range(req.m))
+                assert symmetry_profile(code).dims == dims, req
+                seen += 1
+        finally:
+            logging.disable(logging.NOTSET)
+        assert seen == count
+        assert digest.hexdigest() == expected
