@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,18 @@ from symcalc.bounds import (
     representable_dimensions,
 )
 from symcalc.codes import MonomialCode
+from symcalc.construct import (
+    ConstructionRequest,
+    NonRepresentableError,
+    achievable_dimensions,
+    construct_partially_symmetric,
+)
+
+
+def dimensions(m, t, rm_order):
+    if rm_order is None:
+        return representable_dimensions(m, t)
+    return achievable_dimensions(m, t, rm_order)
 
 
 def exhaustive_fully_symmetric_minimum(m: int) -> dict[int, int]:
@@ -237,3 +250,50 @@ class TestBoundCurve:
         assert len(rows) == 16
         assert not rows[5].exact  # k=6 floors to 5
         assert rows[4].exact
+
+
+class TestGoldenTierTable:
+    """The dimension lists, the bound's decompositions and the nearest
+    feasible dimensions, pinned by digest.
+
+    The digests were computed before the bound, the dimension list and the
+    construction's feasibility check came to read one tier table; any change
+    to a list, a decomposition field or a nearest dimension changes them.
+    """
+
+    @staticmethod
+    def dimension_lists(max_m):
+        for m in range(1, max_m + 1):
+            for t in range(1, m + 1):
+                for rm_order in (None, *range(m + 1)):
+                    yield m, t, rm_order, tuple(dimensions(m, t, rm_order))
+
+    def test_dimension_lists(self):
+        digest = hashlib.sha256()
+        for record in self.dimension_lists(8):
+            digest.update(repr(record).encode())
+        assert digest.hexdigest() == "fa845e0aa40ede14b4ace2f9f441d90d2a51aa41bee445a53a2a674a0ea6200f"
+
+    def test_bound_decompositions(self):
+        digest = hashlib.sha256()
+        for m in range(1, 9):
+            for t in range(1, m + 1):
+                for k in range(1, (1 << m) + 1):
+                    bound, dec = partially_symmetric_lb(m, t, k)
+                    digest.update(repr((m, t, k, bound, dec.l, dec.j, dec.base, dec.exact, dec.k_used)).encode())
+        assert digest.hexdigest() == "cc05f7d27aede31c0f9b5db97c64f6e74663eb190d2d88813adb9a351baa41b1"
+
+    def test_nearest_feasible_dimensions(self):
+        digest = hashlib.sha256()
+        seen = 0
+        for m, t, rm_order, ks in self.dimension_lists(7):
+            feasible = set(ks)
+            for k in range(1, ks[-1] + 1):
+                if k in feasible:
+                    continue
+                with pytest.raises(NonRepresentableError) as err:
+                    construct_partially_symmetric(ConstructionRequest(m, t, k, rm_order))
+                digest.update(repr((m, t, rm_order, k, err.value.nearest_below, err.value.nearest_above)).encode())
+                seen += 1
+        assert seen == 5037
+        assert digest.hexdigest() == "84fc9f4c2012badd7b12c3ba13834d719259534daae88c9d3dee37cc99586ceb"
