@@ -314,21 +314,15 @@ PRIMITIVE_POLYS: dict[int, int] = {
     16: 0x1100B,  # x^16 + x^12 + x^3 + x + 1
 }
 
-# distinct prime factors of 2^m - 1, used for the primitivity order check
-_ORDER_FACTORS: dict[int, tuple[int, ...]] = {
-    2: (3,), 3: (7,), 4: (3, 5), 5: (31,), 6: (3, 7), 7: (127,),
-    8: (3, 5, 17), 9: (7, 73), 10: (3, 11, 31), 11: (23, 89),
-    12: (3, 5, 7, 13), 13: (8191,), 14: (3, 43, 127), 15: (7, 31, 151),
-    16: (3, 5, 17, 257),
-}
-
-
 @dataclass(frozen=True)
 class GF2mField:
     """GF(2^m) in the polynomial basis; elements are ints in [0, 2^m)."""
 
     m: int
     poly: int = field(default=0)
+    # antilog[i] = x^i and log[x^i] = i, built once with the field
+    _antilog: np.ndarray = field(init=False, repr=False, compare=False)
+    _log: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.m <= 16:
@@ -337,12 +331,26 @@ class GF2mField:
         object.__setattr__(self, "poly", poly)
         if poly >> self.m != 1:
             raise ValueError(f"polynomial 0x{poly:x} does not have degree {self.m}")
+        # the polynomial is primitive exactly when the powers of x first
+        # return to 1 at step 2^m - 1
         order = (1 << self.m) - 1
-        if self.pow(2, order) != 1:
-            raise ValueError(f"0x{poly:x} is not irreducible over GF(2)")
-        for p in _ORDER_FACTORS[self.m]:
-            if self.pow(2, order // p) == 1:
-                raise ValueError(f"0x{poly:x} is irreducible but not primitive")
+        powers = [1]
+        x = 1
+        for _ in range(order):
+            x <<= 1
+            if x >> self.m:
+                x ^= poly
+            if x == 1:
+                break
+            powers.append(x)
+        if x != 1 or len(powers) != order:
+            raise ValueError(f"0x{poly:x} is not primitive over GF(2)")
+        antilog = np.array(powers, dtype=np.int64)
+        log = np.zeros(self.size, dtype=np.int64)
+        log[antilog] = np.arange(order)
+        antilog.flags.writeable = log.flags.writeable = False
+        object.__setattr__(self, "_antilog", antilog)
+        object.__setattr__(self, "_log", log)
 
     @property
     def size(self) -> int:
@@ -382,22 +390,12 @@ class GF2mField:
     def powers(self, exponents: Iterable[int]) -> np.ndarray:
         """x^e for every element x (columns) and each exponent e >= 1 (rows).
 
-        Reads log and antilog tables built once per call, so the cost is one
-        pass over the field plus one table lookup per entry.
+        Reads the log and antilog tables built with the field: one table
+        lookup per entry.
         """
         exps = np.fromiter(exponents, dtype=np.int64)
         if (exps < 1).any():
             raise ValueError("exponents must be positive")
-        order = self.size - 1
-        antilog = np.empty(order, dtype=np.int64)
-        x = 1
-        for i in range(order):
-            antilog[i] = x
-            x <<= 1
-            if x >> self.m:
-                x ^= self.poly
-        log = np.zeros(self.size, dtype=np.int64)
-        log[antilog] = np.arange(order)
         out = np.zeros((exps.size, self.size), dtype=np.int64)
-        out[:, 1:] = antilog[(log[1:] * exps[:, None]) % order]
+        out[:, 1:] = self._antilog[(self._log[1:] * exps[:, None]) % (self.size - 1)]
         return out

@@ -1,19 +1,27 @@
 """Closed-form lower bounds on derivative-code dimensions.
 
-A dimension k decomposes against the target count t as
+The masks split into tau tiers, tau(v) counting the target variables 0..t-1
+in v; `tier_sizes` is that table (below a degree cap when one is given).  A
+dimension k decomposes against it as
 
     k = sum_{i<l} C(t, i) * 2^(m-t)  +  j * lcm(l, t) / l
 
-with the j-term smaller than the size of the degree-l tier.  The minimal
-common derivative dimension of a t-symmetric code is then
+with the j-term smaller than the size of tier l; `tier_of` finds l and the
+base sum.  The minimal common derivative dimension of a t-symmetric code is
+then
 
     sum_{i<l-1} C(t-1, i) * 2^(m-t)  +  j * lcm(l, t) / t.
+
+The k whose decomposition leaves no remainder are `representable_dimensions`;
+the construction removes whole tiers from the top down and meets exactly
+these, so it checks feasibility against the same table and walk.
 
 All arithmetic is exact; rates become floats only at the reporting boundary.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -40,12 +48,42 @@ class SymmetricDecomposition:
     k_used: int | None
 
 
-def _tier_size(m: int, t: int, l: int) -> int:
-    return math.comb(t, l) << (m - t)
+def tier_sizes(m: int, t: int, rm_order: int | None = None) -> tuple[int, ...]:
+    """Masks in each tau tier 0..t: the C(t, l) target parts of tier l times
+    the non-target parts that the degree cap (m, or rm_order) leaves them.
+
+    Raises ValueError unless m, t and rm_order are integers with m in
+    1..MAX_M, 1 <= t <= m and 0 <= rm_order <= m, before any 2^m is formed.
+    """
+    check_m(m, low=1)
+    cap = m if rm_order is None else rm_order
+    for name, value in (("t", t), ("rm_order", cap)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name}={value!r} is not an integer")
+    if not 1 <= t <= m:
+        raise ValueError("need 1 <= t <= m")
+    if not 0 <= cap <= m:
+        raise ValueError("rm_order out of range")
+    return _tier_table(m, t, cap)
 
 
-def _base(m: int, t: int, l: int) -> int:
-    return sum(_tier_size(m, t, i) for i in range(l))
+@functools.lru_cache(maxsize=None)
+def _tier_table(m: int, t: int, cap: int) -> tuple[int, ...]:
+    rest = [math.comb(m - t, j) for j in range(m - t + 1)]
+    return tuple(math.comb(t, l) * sum(rest[: max(cap - l + 1, 0)]) for l in range(t + 1))
+
+
+def tier_of(k: int, tiers: Sequence[int]) -> tuple[int, int]:
+    """The tier l that holds dimension k and the masks in the tiers below it.
+
+    l is the largest tier whose base is at most k: 0 below the first tier
+    boundary and t + 1 at the full count; O(t).
+    """
+    l = base = 0
+    while l < len(tiers) and base + tiers[l] <= k:
+        base += tiers[l]
+        l += 1
+    return l, base
 
 
 def partially_symmetric_lb(m: int, t: int, k: int) -> tuple[int, SymmetricDecomposition]:
@@ -54,22 +92,15 @@ def partially_symmetric_lb(m: int, t: int, k: int) -> tuple[int, SymmetricDecomp
     Non-representable k fall back to the largest representable k' <= k and
     are flagged exact=False.
     """
-    for name, value in (("m", m), ("t", t), ("k", k)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name}={value!r} is not an integer")
-    check_m(m, low=1)
-    if not 1 <= t <= m:
-        raise ValueError("need 1 <= t <= m")
+    tiers = tier_sizes(m, t)
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k={k!r} is not an integer")
     if not 0 < k <= (1 << m):
         raise ValueError("need 0 < k <= 2^m")
-    smallest = _base(m, t, 1)
-    if k < smallest:
+    l, base = tier_of(k, tiers)
+    if l == 0:
         # below the first tier boundary every target derivative can be empty
         return 0, SymmetricDecomposition(l=1, j=0, base=0, exact=False, k_used=None)
-    l = 1
-    while l <= t and _base(m, t, l + 1) <= k:
-        l += 1
-    base = _base(m, t, l)
     p = k - base
     g = math.gcd(l, t)
     step = t // g  # lcm(l, t) / l
@@ -85,22 +116,21 @@ def fully_symmetric_lb(m: int, k: int) -> tuple[int, SymmetricDecomposition]:
     return partially_symmetric_lb(m, m, k)
 
 
-def representable_dimensions(m: int, t: int) -> list[int]:
-    """All k for which the t-symmetric bound holds with an exact decomposition."""
-    check_m(m)
-    if not 1 <= t <= m:
-        raise ValueError("need 1 <= t <= m")
-    out: set[int] = set()
-    for l in range(1, t + 2):
-        base = _base(m, t, l)
-        tier = _tier_size(m, t, l)
-        step = t // math.gcd(l, t)
-        if tier == 0:
-            out.add(base)
-            continue
-        out.update(base + p for p in range(0, tier, step))
-    out.add(1 << m)
-    return sorted(v for v in out if 0 < v <= (1 << m))
+def representable_dimensions(m: int, t: int, rm_order: int | None = None) -> list[int]:
+    """All dimensions the construction meets, below the degree cap rm_order
+    when one is given; without one, exactly the k whose t-symmetric bound
+    has an exact decomposition.  Each tier l >= 1 contributes its base plus
+    the multiples of t / gcd(l, t) that fit in it; the full count closes the
+    list.
+    """
+    out: list[int] = []
+    base = 0
+    for l, size in enumerate(tier_sizes(m, t, rm_order)):
+        if l:
+            out.extend(range(base, base + size, t // math.gcd(l, t)))
+        base += size
+    out.append(base)
+    return out
 
 
 def list_size_lb(rate_minus: float, capacity_minus: float, n: int) -> float:
@@ -118,9 +148,11 @@ def bec_minus_capacity(eps: float) -> float:
 
 
 def convergence_gap(m: int) -> Fraction:
-    """Distance of the rate-1/2 derivative rate from 1/2, exact in m (odd)."""
-    if m % 2 == 0 or m < 3:
-        raise ValueError("m must be odd and at least 3")
+    """Distance of the rate-1/2 derivative rate from 1/2, exact in m (odd,
+    3..1023, so the binomial stays under 1024 bits)."""
+    check_m(m, low=3, high=1023)
+    if m % 2 == 0:
+        raise ValueError("m must be odd")
     return Fraction(math.comb(m - 1, m // 2), 1 << m)
 
 

@@ -28,6 +28,9 @@ class Monomial:
     m: int
 
     def __post_init__(self):
+        check_m(self.m)
+        if not isinstance(self.mask, numbers.Integral):
+            raise ValueError(f"mask={self.mask!r} is not an integer")
         if not 0 <= self.mask < (1 << self.m):
             raise ValueError("mask out of range")
 
@@ -168,8 +171,9 @@ def encode_batch(code: MonomialCode, info: np.ndarray) -> np.ndarray:
 
 def rm_code(r: int, m: int) -> MonomialCode:
     """Reed-Muller code of order r: all monomials of degree at most r."""
-    if not 0 <= r <= m:
-        raise ValueError("order must satisfy 0 <= r <= m")
+    check_m(m)
+    if not isinstance(r, numbers.Integral) or not 0 <= r <= m:
+        raise ValueError("order must be an integer with 0 <= r <= m")
     gens = frozenset(v for v in range(1 << m) if v.bit_count() <= r)
     return MonomialCode(m, gens)
 
@@ -244,11 +248,13 @@ _DECIMAL = re.compile(r"[0-9]+")
 _HEX = re.compile(r"[0-9a-f]+")
 
 
-def check_m(m: int, low: int = 0) -> None:
-    """Raise ValueError unless low <= m <= MAX_M; call it before allocating
-    anything of size 2^m."""
-    if not low <= m <= MAX_M:
-        raise ValueError(f"m={m} is outside {low}..{MAX_M}")
+def check_m(m: int, low: int = 0, high: int = MAX_M) -> None:
+    """Raise ValueError unless m is an integer in low..high; call it before
+    allocating anything of size 2^m."""
+    if not isinstance(m, numbers.Integral):
+        raise ValueError(f"m={m!r} is not an integer")
+    if not low <= m <= high:
+        raise ValueError(f"m={m} is outside {low}..{high}")
 
 
 def save_code(code: MonomialCode | LinearCode, path: str | Path) -> None:

@@ -13,16 +13,19 @@ a cached degree (popcount) table; tau(v) is the degree of v & (2^t - 1).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from .codes import MonomialCode, check_m
+from .bounds import representable_dimensions, tier_of, tier_sizes
+from .codes import MonomialCode
 
 logger = logging.getLogger(__name__)
 
@@ -35,16 +38,9 @@ class ConstructionRequest:
     rm_order: int | None = None
 
     def __post_init__(self):
-        check_m(self.m, low=1)
-        if not 1 <= self.t <= self.m:
-            raise ValueError("need 1 <= t <= m")
-        limit = 1 << self.m
-        if self.rm_order is not None:
-            if not 0 <= self.rm_order <= self.m:
-                raise ValueError("rm_order out of range")
-            limit = sum(math.comb(self.m, i) for i in range(self.rm_order + 1))
-        if not 0 < self.k <= limit:
-            raise ValueError(f"need 0 < k <= {limit}")
+        limit = sum(tier_sizes(self.m, self.t, self.rm_order))
+        if not isinstance(self.k, numbers.Integral) or not 0 < self.k <= limit:
+            raise ValueError(f"need an integer 0 < k <= {limit}")
 
 
 class NonRepresentableError(ValueError):
@@ -163,9 +159,7 @@ def construct_partially_symmetric_trace(
 ) -> tuple[MonomialCode, list[RemovalStep]]:
     """Run the construction and return the code with its removal log."""
     m, t, k = req.m, req.t, req.k
-    ok, below, above = _nearest_achievable(req)
-    if not ok:
-        raise NonRepresentableError(req, below, above)
+    _check_achievable(req)
 
     t_mask = (1 << t) - 1
     degree = _degrees(m)
@@ -249,39 +243,12 @@ def construct_partially_symmetric(req: ConstructionRequest) -> MonomialCode:
     return code
 
 
-def _tier_sizes(m: int, t: int, rm_order: int | None) -> list[int]:
-    """Initial masks in each tau tier 0..t: the C(t, l) target parts of tier l
-    times the non-target parts that the degree cap leaves them."""
-    cap = m if rm_order is None else rm_order
-    rest = [math.comb(m - t, j) for j in range(m - t + 1)]
-    return [math.comb(t, l) * sum(rest[: max(cap - l + 1, 0)]) for l in range(t + 1)]
-
-
-def _is_achievable(k: int, tiers: list[int]) -> bool:
-    """Whether dimension k is achievable given the tau tier sizes; O(t)."""
-    t = len(tiers) - 1
-    k_prime = sum(tiers)
-    if not tiers[0] <= k <= k_prime:  # tier 0 holds mask 0, so k >= 1
-        return False
-    l_hat = t
-    while l_hat >= 1 and k_prime - tiers[l_hat] >= k:
-        k_prime -= tiers[l_hat]
-        l_hat -= 1
-    if k_prime == k:
-        return True
-    return ((k_prime - k) * l_hat) % t == 0
-
-
-def _nearest_achievable(req: ConstructionRequest) -> tuple[bool, int | None, int | None]:
-    tiers = _tier_sizes(req.m, req.t, req.rm_order)
-    if _is_achievable(req.k, tiers):
-        return True, None, None
-    below = next((k for k in range(req.k - 1, 0, -1) if _is_achievable(k, tiers)), None)
-    above = next((k for k in range(req.k + 1, sum(tiers) + 1) if _is_achievable(k, tiers)), None)
-    return False, below, above
-
-
-def achievable_dimensions(m: int, t: int, rm_order: int | None = None) -> list[int]:
-    """All dimensions the construction can hit for these parameters."""
-    tiers = _tier_sizes(m, t, rm_order)
-    return [k for k in range(1, sum(tiers) + 1) if _is_achievable(k, tiers)]
+def _check_achievable(req: ConstructionRequest) -> None:
+    """Raise NonRepresentableError, with the nearest achievable dimensions,
+    unless the O(t) tier walk finds req.k achievable."""
+    l, base = tier_of(req.k, tier_sizes(req.m, req.t, req.rm_order))
+    if l and (req.k - base) % (req.t // math.gcd(l, req.t)) == 0:
+        return
+    ks = representable_dimensions(req.m, req.t, req.rm_order)
+    i = bisect.bisect(ks, req.k)
+    raise NonRepresentableError(req, ks[i - 1] if i else None, ks[i] if i < len(ks) else None)

@@ -125,13 +125,12 @@ def transmit(
 
 
 def draw_frames(
-    code: MonomialCode, channel: ChannelModel, seed: int, lo: int, hi: int, all_zero: bool = False
+    code: MonomialCode, channel: ChannelModel, seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Info bits (B, k), codewords (B, n) and LLRs (B, n) of frames lo..hi-1.
 
     Bit for bit what `frame_rng(seed, f)`, `integers(0, 2, size=k,
-    dtype=uint8)` and `transmit` at the code rate give for each frame f; with
-    all_zero the info bits are zero and not drawn.
+    dtype=uint8)` and `transmit` at the code rate give for each frame f.
     """
     if not 0 <= lo <= hi <= 2**64:
         raise ValueError(f"frame range {lo}..{hi} is not within 0..2^64")
@@ -145,7 +144,7 @@ def draw_frames(
     key = state["state"]["key"]
     rate = code.k / code.n
     draw = _channel_sampler(channel, rng, rate)
-    words = 0 if all_zero else -(-code.k // 8)
+    words = -(-code.k // 8)
     raw = np.zeros((hi - lo, words), dtype=np.uint64)
     draws = np.empty((hi - lo, code.n), dtype=np.float64)
     for i in range(hi - lo):
@@ -153,12 +152,9 @@ def draw_frames(
         bg.state = state
         raw[i] = bg.random_raw(words)
         draw(out=draws[i])
-    if all_zero:
-        info = np.zeros((hi - lo, code.k), dtype=np.uint8)
-    else:
-        # integers(0, 2, dtype=uint8) maps each stream byte, low byte of each
-        # word first, to its top bit
-        info = raw.astype("<u8", copy=False).view(np.uint8)[:, : code.k] >> 7
+    # integers(0, 2, dtype=uint8) maps each stream byte, low byte of each
+    # word first, to its top bit
+    info = raw.astype("<u8", copy=False).view(np.uint8)[:, : code.k] >> 7
     sent = encode_batch(code, info)
     return info, sent, _channel_llrs(channel, sent, draws, rate)
 
@@ -174,7 +170,6 @@ class SimConfig:
     perms: tuple[tuple[int, ...], ...] | None = None
     min_dist: int = 5
     batch: int = 256
-    all_zero: bool = False
 
     def __post_init__(self):
         if self.max_errors <= 0 or self.max_frames <= 0 or self.batch <= 0:
@@ -285,7 +280,7 @@ class _BatchCounts:
 
 
 def _run_batch(code, channel, config: SimConfig, layer_perm, lo: int, hi: int) -> _BatchCounts:
-    _, sent, llrs = draw_frames(code, channel, config.seed, lo, hi, config.all_zero)
+    _, sent, llrs = draw_frames(code, channel, config.seed, lo, hi)
     decoded = _decode_batch(code, llrs, config, layer_perm)
     errs = (decoded != sent).any(axis=1)
     corr_dec, corr_sent = _batch_correlations(np.stack((decoded, sent), axis=1), llrs).T

@@ -40,7 +40,6 @@ from symcalc.codes import (
 )
 from symcalc.construct import (
     ConstructionRequest,
-    achievable_dimensions,
     construct_partially_symmetric,
     construct_partially_symmetric_trace,
 )
@@ -62,7 +61,7 @@ def tier_aligned(m, t, rm_order=None):
     """Dimensions reachable by whole-tier removals alone; the block-symmetry
     and derivative-recursion results apply to exactly these codes."""
     out = []
-    for k in achievable_dimensions(m, t, rm_order):
+    for k in representable_dimensions(m, t, rm_order):
         _, log = construct_partially_symmetric_trace(
             ConstructionRequest(m=m, t=t, k=k, rm_order=rm_order)
         )
@@ -153,7 +152,7 @@ def test_criterion_05_companion_properties():
     # (i) generating sets are closed under monomial division, all achievable k
     closed = 0
     for m, t in [(4, 2), (4, 3), (5, 3), (6, 4), (7, 3), (8, 5), (9, 4)]:
-        ks = achievable_dimensions(m, t)
+        ks = representable_dimensions(m, t)
         rng = np.random.RandomState(m * 10 + t)
         sample = ks if m <= 6 else sorted(rng.choice(ks, size=8, replace=False).tolist())
         for k in sample:

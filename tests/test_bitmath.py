@@ -338,6 +338,26 @@ class TestGF2m:
         with pytest.raises(ValueError):
             GF2mField(4, 0b11111)
 
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            0b10101,  # (x^2 + x + 1)^2: reducible, x has order 6
+            0b10000,  # x^4: x is nilpotent, its powers reach 0
+            0b10001,  # (x + 1)^4: reducible, x has order 4
+        ],
+    )
+    def test_reducible_rejected(self, poly):
+        with pytest.raises(ValueError, match="not primitive"):
+            GF2mField(4, poly)
+
+    @pytest.mark.parametrize("m, poly", [(4, 0b11001), (5, 0b111101), (6, 0b1100111)])
+    def test_other_primitive_polynomial_powers_match_pow(self, m, poly):
+        fld = GF2mField(m, poly)
+        exps = [1, 2, 3, (1 << m) - 1, 1 << m]
+        table = fld.powers(exps)
+        for row, e in zip(table, exps):
+            assert row.tolist() == [fld.pow(x, e) for x in range(fld.size)]
+
     @pytest.mark.parametrize("m", [3, 5, 8])
     def test_field_axioms_on_random_triples(self, m):
         fld = GF2mField(m)

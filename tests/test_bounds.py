@@ -18,18 +18,7 @@ from symcalc.bounds import (
     representable_dimensions,
 )
 from symcalc.codes import MonomialCode
-from symcalc.construct import (
-    ConstructionRequest,
-    NonRepresentableError,
-    achievable_dimensions,
-    construct_partially_symmetric,
-)
-
-
-def dimensions(m, t, rm_order):
-    if rm_order is None:
-        return representable_dimensions(m, t)
-    return achievable_dimensions(m, t, rm_order)
+from symcalc.construct import ConstructionRequest, NonRepresentableError, construct_partially_symmetric
 
 
 def exhaustive_fully_symmetric_minimum(m: int) -> dict[int, int]:
@@ -142,6 +131,29 @@ class TestPartialBound:
         assert partially_symmetric_lb(*args) == partially_symmetric_lb(4, 3, 8)
 
 
+class TestRepresentableDimensions:
+    @pytest.mark.parametrize(
+        "args", [(4, 2.5), (4.0, 2), ("4", 2), (4, 2, 1.5), (4, 2, "1"), (4, Fraction(2))]
+    )
+    def test_non_integer_arguments_rejected(self, args):
+        with pytest.raises(ValueError, match="not an integer"):
+            representable_dimensions(*args)
+
+    @pytest.mark.parametrize("args", [(0, 1), (17, 1), (200_000_000, 3)])
+    def test_m_beyond_limit_refused(self, args):
+        with pytest.raises(ValueError, match="outside"):
+            representable_dimensions(*args)
+
+    @pytest.mark.parametrize("args", [(4, 0), (4, 5), (4, 2, -1), (4, 2, 5)])
+    def test_range_checks(self, args):
+        with pytest.raises(ValueError):
+            representable_dimensions(*args)
+
+    def test_rm_subcode_lists(self):
+        assert representable_dimensions(4, 2, 1) == [3, 5]  # RM(1, 4): tiers of 3, 2 and 0 masks
+        assert representable_dimensions(4, 2, 0) == [1]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 12), st.data())
 def test_representable_points_round_trip(m, data):
@@ -205,6 +217,18 @@ class TestConvergenceGap:
         with pytest.raises(ValueError):
             convergence_gap(4)
 
+    @pytest.mark.parametrize("m", [1, 1025, 200_000_001])
+    def test_m_outside_range_refused_before_the_binomial(self, m):
+        """An odd m in the hundreds of millions would build integers of tens
+        of MB; it is refused at once."""
+        with pytest.raises(ValueError, match="outside"):
+            convergence_gap(m)
+
+    @pytest.mark.parametrize("m", [5.0, 5.5, "5"])
+    def test_non_integer_rejected(self, m):
+        with pytest.raises(ValueError, match="not an integer"):
+            convergence_gap(m)
+
     def test_strictly_decreasing_up_to_25(self):
         gaps = [convergence_gap(m) for m in range(3, 26, 2)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -266,7 +290,7 @@ class TestGoldenTierTable:
         for m in range(1, max_m + 1):
             for t in range(1, m + 1):
                 for rm_order in (None, *range(m + 1)):
-                    yield m, t, rm_order, tuple(dimensions(m, t, rm_order))
+                    yield m, t, rm_order, tuple(representable_dimensions(m, t, rm_order))
 
     def test_dimension_lists(self):
         digest = hashlib.sha256()

@@ -381,6 +381,17 @@ class TestSimulateCommand:
             assert code == EXIT_INVALID
             assert f"unrecognized arguments: {flag}" in err
 
+    def test_all_zero_flag_removed(self, tmp_path, capsys):
+        """Sending only the all-zero word reads a false FER of 0 on the BEC,
+        where zero-LLR decisions and ties both fall to the all-zero word."""
+        out = tmp_path / "c.code"
+        invoke(capsys, "construct", "--m", "4", "--t", "3", "--k", "8", "--out", str(out))
+        code, stdout, err = invoke(
+            capsys, "simulate", "--code", str(out), "--channel", "bec:0.5", "--max-frames", "64", "--all-zero",
+        )
+        assert code == EXIT_INVALID and not stdout
+        assert "unrecognized arguments: --all-zero" in err
+
 
 # spellings that Python's int() reads as a number but the file format rejects
 INT_SPELLINGS = ["\u0663", "0x3", "0X3", "1_2", "+3", " 3"]

@@ -129,6 +129,18 @@ class TestRmCode:
     def test_dimension_formula(self, r, m):
         assert rm_code(r, m).k == sum(math.comb(m, i) for i in range(r + 1))
 
+    def test_m_beyond_limit_refused_before_the_mask_loop(self):
+        """rm_code(0, 40) would loop over 2^40 masks before MonomialCode
+        saw m; it is refused at once."""
+        for m in (17, 40, 200_000_000):
+            with pytest.raises(ValueError, match="outside"):
+                rm_code(0, m)
+
+    @pytest.mark.parametrize("r, m", [(1.5, 4), (2, 4.0), ("1", 4), (None, 4)])
+    def test_non_integer_arguments_rejected(self, r, m):
+        with pytest.raises(ValueError, match="integer"):
+            rm_code(r, m)
+
 
 class TestMinDistance:
     def test_empty_rejected(self):
@@ -251,6 +263,21 @@ class TestEbch:
         code = ebch_code(GF2mField(4), 2)
         arr = code.generator_array()
         assert (arr.sum(axis=1) % 2 == 0).all()
+
+
+class TestMonomial:
+    @pytest.mark.parametrize("mask, m", [(1, 2.5), (1, "3"), (1.0, 3), (1.5, 3), ("1", 3)])
+    def test_non_integer_arguments_rejected(self, mask, m):
+        with pytest.raises(ValueError, match="not an integer"):
+            Monomial(mask, m)
+
+    @pytest.mark.parametrize("m", [-1, 17, 200_000_000])
+    def test_m_beyond_limit_rejected(self, m):
+        with pytest.raises(ValueError, match="outside"):
+            Monomial(0, m)
+
+    def test_degree(self):
+        assert Monomial(0b1011, 4).degree == 3
 
 
 class TestMonomialCode:

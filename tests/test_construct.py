@@ -18,7 +18,6 @@ from symcalc.codes import monomial_min_distance, monomial_to_linear, rm_code
 from symcalc.construct import (
     ConstructionRequest,
     NonRepresentableError,
-    achievable_dimensions,
     biregular_subgraph,
     construct_partially_symmetric,
     construct_partially_symmetric_trace,
@@ -124,8 +123,9 @@ class TestConstructGeneral:
         assert exc.value.nearest_above == 8
 
     def test_infeasible_request_at_m16_fails_fast(self):
-        """The tau tiers are counted once per request, not once per candidate
-        k, so scanning all 2^15 dimensions for a neighbour stays quick."""
+        """Feasibility is one O(t) walk over the tau tiers, and the neighbours
+        one bisection into the dimension list, so an m = 16 request whose
+        neighbours lie 2^15 apart stays quick."""
         start = time.perf_counter()
         with pytest.raises(NonRepresentableError) as exc:
             construct_partially_symmetric(ConstructionRequest(m=16, t=1, k=3))
@@ -151,17 +151,12 @@ class TestConstructGeneral:
                             l_hat -= 1
                         if k_prime == k or ((k_prime - k) * l_hat) % t == 0:
                             expected.append(k)
-                    assert achievable_dimensions(m, t, rm_order) == expected
-
-    def test_achievable_matches_bound_representable(self):
-        for m in range(2, 8):
-            for t in range(1, m + 1):
-                assert achievable_dimensions(m, t) == representable_dimensions(m, t)
+                    assert representable_dimensions(m, t, rm_order) == expected
 
     def test_divisor_closed_gen_sets(self):
         rng = np.random.RandomState(5)
         for m, t in [(5, 3), (6, 4), (7, 2), (8, 5)]:
-            ks = achievable_dimensions(m, t)
+            ks = representable_dimensions(m, t)
             for k in rng.choice(ks, size=min(6, len(ks)), replace=False):
                 code = construct_partially_symmetric(ConstructionRequest(m=m, t=t, k=int(k)))
                 for v in code.gen_set:
@@ -217,6 +212,13 @@ class TestRmSubcodeVariant:
         with pytest.raises(ValueError):
             ConstructionRequest(m=6, t=3, k=60, rm_order=2)
 
+    @pytest.mark.parametrize(
+        "m, t, k, rm_order", [(6.0, 3, 8, None), (6, 2.5, 8, None), (6, 3, 8.0, None), (6, 3, 8, 2.5), (6, 3, "8", 2)]
+    )
+    def test_non_integer_request_rejected(self, m, t, k, rm_order):
+        with pytest.raises(ValueError, match="integer"):
+            ConstructionRequest(m=m, t=t, k=k, rm_order=rm_order)
+
 
 class TestCompanionProperties:
     """Whole-tier constructions keep both block symmetries and recurse cleanly."""
@@ -226,7 +228,7 @@ class TestCompanionProperties:
         """Dimensions reachable with stages 1-2 alone (no anchored removals)."""
         out = []
         full = construct_partially_symmetric_trace
-        for k in achievable_dimensions(m, t, rm_order):
+        for k in representable_dimensions(m, t, rm_order):
             _, log = full(ConstructionRequest(m=m, t=t, k=k, rm_order=rm_order))
             if all(step.stage in ("tier", "degree") for step in log):
                 out.append(k)
@@ -276,7 +278,7 @@ class TestGoldenConstruction:
         for m in ms:
             for t in range(1, m + 1):
                 for rm_order in (None, *range(m + 1)):
-                    for k in achievable_dimensions(m, t, rm_order)[:: stride.get(m, 1)]:
+                    for k in representable_dimensions(m, t, rm_order)[:: stride.get(m, 1)]:
                         yield ConstructionRequest(m, t, k, rm_order)
 
     @pytest.mark.parametrize("ms, stride, count, expected", CASES)

@@ -85,14 +85,13 @@ class TestFrameRng:
         assert batch_bits[0].tolist() == bits.tolist()
 
 
-def reference_frames(code, channel, seed, lo, hi, all_zero):
+def reference_frames(code, channel, seed, lo, hi):
     """Frames drawn one at a time through frame_rng, integers and transmit."""
     info = np.zeros((hi - lo, code.k), dtype=np.uint8)
     llrs = np.empty((hi - lo, code.n))
     for i, f in enumerate(range(lo, hi)):
         rng = frame_rng(seed, f)
-        if not all_zero:
-            info[i] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+        info[i] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
         llrs[i] = transmit(channel, encode_batch(code, info[i : i + 1])[0], rng, code.k / code.n)
     return info, llrs
 
@@ -112,7 +111,7 @@ def frame_cases(draw, k_mod_8):
     seed = draw(st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1), st.integers(-(2**63), -1)))
     lo = draw(st.integers(0, 2**40))
     hi = lo + draw(st.integers(1, 9))
-    return MonomialCode(m, frozenset(masks)), channel, seed, lo, hi, draw(st.booleans())
+    return MonomialCode(m, frozenset(masks)), channel, seed, lo, hi
 
 
 @pytest.mark.parametrize("k_mod_8", range(8))
@@ -121,9 +120,9 @@ def frame_cases(draw, k_mod_8):
 def test_draw_frames_matches_per_frame_draws(k_mod_8, data):
     """One re-keyed generator per batch and raw-word info bits give, bit for
     bit, the info bits and LLRs of a fresh per-frame generator."""
-    code, channel, seed, lo, hi, all_zero = data.draw(frame_cases(k_mod_8))
-    info, sent, llrs = draw_frames(code, channel, seed, lo, hi, all_zero)
-    ref_info, ref_llrs = reference_frames(code, channel, seed, lo, hi, all_zero)
+    code, channel, seed, lo, hi = data.draw(frame_cases(k_mod_8))
+    info, sent, llrs = draw_frames(code, channel, seed, lo, hi)
+    ref_info, ref_llrs = reference_frames(code, channel, seed, lo, hi)
     assert info.dtype == np.uint8 and np.array_equal(info, ref_info)
     assert np.array_equal(sent, encode_batch(code, ref_info))
     assert np.array_equal(llrs.view(np.uint64), ref_llrs.view(np.uint64))
@@ -196,16 +195,6 @@ class TestSimulateFer:
         res = simulate_fer(CODE_16_8, BiAwgn(1.0), cfg)
         assert res.fer == res.errors / res.frames
         assert 0 <= res.wilson_lo <= res.fer <= res.wilson_hi <= 1
-
-    def test_all_zero_shortcut_distributionally_equivalent(self):
-        base = SimConfig(max_errors=10**9, max_frames=10_000, seed=33)
-        r_random = simulate_fer(CODE_16_8, BiAwgn(1.0), base)
-        from dataclasses import replace
-
-        r_zero = simulate_fer(CODE_16_8, BiAwgn(1.0), replace(base, all_zero=True))
-        p = max(r_random.fer, 1e-9)
-        sd = math.sqrt(p * (1 - p) / base.max_frames)
-        assert abs(r_random.fer - r_zero.fer) < 4 * sd
 
     def test_ties_counted_as_errors(self):
         # BEC with heavy erasures produces metric ties on decoding failures
