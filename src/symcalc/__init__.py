@@ -40,14 +40,7 @@ from .construct import (
     biregular_subgraph,
     construct_partially_symmetric,
 )
-from .decode import (
-    DecodeResult,
-    ml_decode_bruteforce,
-    ml_lower_bound_flag,
-    permutation_decode,
-    sc_decode,
-    scl_decode,
-)
-from .sim import Bec, BiAwgn, SimConfig, SimResult, fer_curve, simulate_fer, transmit
+from .decode import ml_decode_batch, sc_decode_batch, sc_decode_orders, scl_decode_batch
+from .sim import Bec, BiAwgn, SimConfig, SimResult, draw_frames, fer_curve, simulate_fer, transmit
 
 __version__ = "0.1.0"

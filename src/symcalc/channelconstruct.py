@@ -134,6 +134,7 @@ def mask_error_probs(
     perm[m-1] is the variable split first; a set bit sends the mask through
     the degraded branch of its level.
     """
+    check_m(m)
     perm = resolve_layer_order(m, perm)
     branch = _branch_error_probs(m, channel, rate)
     pos = branch_positions(np.arange(1 << m), np.array([perm]))[0]

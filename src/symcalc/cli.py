@@ -62,11 +62,7 @@ def _emit(lines, out: str | None):
 
 def _cmd_construct(args) -> int:
     req = ConstructionRequest(m=args.m, t=args.t, k=args.k, rm_order=args.rm_order)
-    try:
-        code, log = construct_partially_symmetric_trace(req)
-    except NonRepresentableError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INFEASIBLE
+    code, log = construct_partially_symmetric_trace(req)
     save_code(code, args.out)
     logger.info(
         "wrote (%d,%d,%d) code to %s", code.n, code.k, monomial_min_distance(code), args.out

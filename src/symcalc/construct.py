@@ -38,9 +38,17 @@ class ConstructionRequest:
     rm_order: int | None = None
 
     def __post_init__(self):
-        limit = sum(tier_sizes(self.m, self.t, self.rm_order))
-        if not isinstance(self.k, numbers.Integral) or not 0 < self.k <= limit:
-            raise ValueError(f"need an integer 0 < k <= {limit}")
+        """Raise ValueError for fields out of range, and NonRepresentableError,
+        with the nearest achievable dimensions, unless the O(t) tier walk
+        finds k achievable."""
+        tiers = tier_sizes(self.m, self.t, self.rm_order)
+        if not isinstance(self.k, numbers.Integral) or not 0 < self.k <= sum(tiers):
+            raise ValueError(f"need an integer 0 < k <= {sum(tiers)}")
+        l, base = tier_of(self.k, tiers)
+        if not l or (self.k - base) % (self.t // math.gcd(l, self.t)):
+            ks = representable_dimensions(self.m, self.t, self.rm_order)
+            i = bisect.bisect(ks, self.k)
+            raise NonRepresentableError(self, ks[i - 1] if i else None, ks[i] if i < len(ks) else None)
 
 
 class NonRepresentableError(ValueError):
@@ -159,8 +167,6 @@ def construct_partially_symmetric_trace(
 ) -> tuple[MonomialCode, list[RemovalStep]]:
     """Run the construction and return the code with its removal log."""
     m, t, k = req.m, req.t, req.k
-    _check_achievable(req)
-
     t_mask = (1 << t) - 1
     degree = _degrees(m)
     tau = degree[np.arange(1 << m) & t_mask]  # tau(v): the degree of v's target part
@@ -241,14 +247,3 @@ def construct_partially_symmetric(req: ConstructionRequest) -> MonomialCode:
     """Optimal t-symmetric monomial code of dimension k (see module docstring)."""
     code, _ = construct_partially_symmetric_trace(req)
     return code
-
-
-def _check_achievable(req: ConstructionRequest) -> None:
-    """Raise NonRepresentableError, with the nearest achievable dimensions,
-    unless the O(t) tier walk finds req.k achievable."""
-    l, base = tier_of(req.k, tier_sizes(req.m, req.t, req.rm_order))
-    if l and (req.k - base) % (req.t // math.gcd(l, req.t)) == 0:
-        return
-    ks = representable_dimensions(req.m, req.t, req.rm_order)
-    i = bisect.bisect(ks, req.k)
-    raise NonRepresentableError(req, ks[i - 1] if i else None, ks[i] if i < len(ks) else None)

@@ -1,4 +1,4 @@
-"""SC, SC-list, permutation, and brute-force ML decoders over LLR inputs.
+"""Batch SC, SC-list, permutation, and brute-force ML decoders over LLR inputs.
 
 Positive LLR favors bit 0.  The successive-cancellation recursion first
 resolves the XOR of the two codeword halves (the derivative part) and then
@@ -10,7 +10,7 @@ most significant variable first.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,13 +33,6 @@ def _clamp(llr: np.ndarray) -> np.ndarray:
     if np.isnan(llr).any():
         raise ValueError("LLR vector contains NaN")
     return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
-
-
-def correlation_metric(bits: np.ndarray | BitVec, llr: np.ndarray) -> float:
-    """Codeword-to-received-vector correlation; larger means closer."""
-    if isinstance(bits, BitVec):
-        bits = bits.to_array()
-    return float(np.dot(_clamp(llr), 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)))
 
 
 def _negate_where(x: np.ndarray, mask: np.ndarray) -> None:
@@ -79,35 +72,6 @@ def llr_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out += _log1p_exp_neg_abs(np.add(a, b, out=tmp))
     out -= _log1p_exp_neg_abs(np.subtract(a, b, out=tmp))
     return out
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """Decoded codeword plus the coefficient vector that encodes to it.
-
-    `candidates` is sorted by metric, best first; `ties` counts zero-LLR
-    decisions taken during plain SC decoding.
-    """
-
-    codeword: BitVec
-    u: BitVec
-    metric: float
-    candidates: tuple[tuple[BitVec, float], ...] = field(default=())
-    ties: int = 0
-
-
-def _single_frame_result(codewords: np.ndarray, llr: np.ndarray, u=None, ties: int = 0) -> DecodeResult:
-    """The DecodeResult of one frame's candidate codewords (c, n): each is
-    scored by correlation_metric and they are ranked by a stable sort on
-    -metric, so the first of the best wins.  u defaults to the best
-    codeword's coefficient vector."""
-    metrics = np.array([correlation_metric(cw, llr) for cw in codewords])
-    order = np.argsort(-metrics, kind="stable")
-    candidates = tuple((BitVec.from_array(codewords[i]), float(metrics[i])) for i in order)
-    codeword, metric = candidates[0]
-    if u is None:
-        u = kronecker_transform_array(codewords[order[0]])
-    return DecodeResult(codeword, BitVec.from_array(u), metric, candidates, ties)
 
 
 def check_working_set(code: LinearCode | MonomialCode, frames: int, paths: int = 1, ml: bool = False) -> None:
@@ -241,16 +205,6 @@ def sc_decode_batch(
     return codewords, kronecker_transform_array(codewords), ties[:, 0]
 
 
-def sc_decode(
-    code: MonomialCode,
-    llr: np.ndarray,
-    layer_perm: Sequence[int] | None = None,
-) -> DecodeResult:
-    """Successive cancellation decoding of a single frame."""
-    cw, _, ties = sc_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :], layer_perm)
-    return _single_frame_result(cw, llr, ties=int(ties[0]))
-
-
 def _fork(lam0, metrics, L):
     """Extend every path by bit 0 and by bit 1 and keep the L best.
 
@@ -352,27 +306,6 @@ def scl_decode_batch(
     return codewords, kronecker_transform_array(codewords), penalties
 
 
-def scl_decode(
-    code: MonomialCode,
-    llr: np.ndarray,
-    L: int,
-    layer_perm: Sequence[int] | None = None,
-) -> DecodeResult:
-    """SC list decoding; the returned codeword is the closest list entry."""
-    cws = scl_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :], L, layer_perm)[0][0]
-    return _single_frame_result(cws, llr)
-
-
-def permutation_decode(
-    code: MonomialCode,
-    llr: np.ndarray,
-    perms: Sequence[Sequence[int]],
-) -> DecodeResult:
-    """SC decode under each layer order and keep the closest codeword."""
-    cws = sc_decode_orders(code, np.asarray(llr, dtype=np.float64)[None, :], perms)[0][0]
-    return _single_frame_result(cws, llr)
-
-
 @functools.lru_cache(maxsize=32)
 def _monomial_generator(m: int, gen_set: frozenset) -> np.ndarray:
     """The uint8 generator matrix of a monomial code, rows in ascending mask order."""
@@ -421,22 +354,18 @@ def ml_decode_batch(code: LinearCode | MonomialCode, llrs: np.ndarray) -> tuple[
     return (info_bits @ gen) & 1, info_bits
 
 
+@dataclass(frozen=True)
+class DecodeResult:
+    """One frame's decoded codeword, as `ml_decode_bruteforce` returns it."""
+
+    codeword: BitVec
+
+
 def ml_decode_bruteforce(code: LinearCode | MonomialCode, llr: np.ndarray) -> DecodeResult:
     """Exact maximum-likelihood decoding of one frame: `ml_decode_batch` with B = 1.
 
-    u is the coefficient vector for a monomial code and the info bits (one per
-    generator row) for a linear code.
+    The one single-frame decoder left; perfbench's tracer and output checks
+    read it by name.
     """
-    cws, infos = ml_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :])
-    return _single_frame_result(cws, llr, u=None if isinstance(code, MonomialCode) else infos[0])
-
-
-def ml_lower_bound_flag(
-    result: DecodeResult, transmitted: BitVec | np.ndarray, llr: np.ndarray
-) -> bool:
-    """True when the decoder output is at least as close as the true codeword.
-
-    A run where every frame satisfies this yields a valid lower-bound estimate
-    of maximum-likelihood performance.
-    """
-    return result.metric >= correlation_metric(transmitted, llr)
+    cws, _ = ml_decode_batch(code, np.asarray(llr, dtype=np.float64)[None, :])
+    return DecodeResult(BitVec.from_array(cws[0]))

@@ -43,8 +43,8 @@ from symcalc.construct import (
     construct_partially_symmetric,
     construct_partially_symmetric_trace,
 )
-from symcalc.decode import ml_decode_bruteforce, scl_decode
-from symcalc.sim import BiAwgn, SimConfig, frame_rng, simulate_fer, transmit
+from symcalc.decode import ml_decode_batch, scl_decode_batch
+from symcalc.sim import BiAwgn, SimConfig, _batch_correlations, draw_frames, simulate_fer
 
 
 def report(n, detail):
@@ -219,15 +219,15 @@ def test_criterion_06_convergence_diagnostics():
 
 def test_criterion_07_decoder_oracle_equivalence():
     code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
-    gen = monomial_to_linear(code).generator_array()
     frames = 1000
-    for f in range(frames):
-        rng = frame_rng(2026, f)
-        info = rng.integers(0, 2, size=8, dtype=np.uint8)
-        llr = transmit(BiAwgn(2.0), (info @ gen) & 1, rng, rate=0.5)
-        a = scl_decode(code, llr, 256).metric
-        b = ml_decode_bruteforce(code, llr).metric
-        assert a == b, (f, a, b)
+    _, _, llrs = draw_frames(code, BiAwgn(2.0), 2026, 0, frames)
+    lists, _, _ = scl_decode_batch(code, llrs, 256)
+    ml, _ = ml_decode_batch(code, llrs)
+    # the ML word rides as one more candidate, so both are scored in one call
+    scores = _batch_correlations(np.concatenate((lists, ml[:, None]), axis=1), llrs)
+    a, b = scores[:, :-1].max(axis=1), scores[:, -1]
+    bad = np.flatnonzero(a != b)
+    assert bad.size == 0, [(int(f), a[f], b[f]) for f in bad[:5]]
     report(7, f"SCL(L=256) metric equals brute-force ML metric on all {frames} frames")
 
 

@@ -92,6 +92,16 @@ class TestFrozenSets:
 
 
 class TestMaskErrorProbs:
+    def test_huge_m_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                mask_error_probs(10**6, Bec(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_identity_layer_order_is_position_complement(self):
         # mask v decodes through position ~v of the channel recursion
         z = bec_density_evolution(3, 0.5)
