@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codes import check_m
+from .codes import check_integers, check_m
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,7 @@ def tier_sizes(m: int, t: int, rm_order: int | None = None) -> tuple[int, ...]:
     """
     check_m(m, low=1)
     cap = m if rm_order is None else rm_order
-    for name, value in (("t", t), ("rm_order", cap)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name}={value!r} is not an integer")
+    check_integers(t=t, rm_order=cap)
     if not 1 <= t <= m:
         raise ValueError("need 1 <= t <= m")
     if not 0 <= cap <= m:
@@ -93,8 +90,7 @@ def partially_symmetric_lb(m: int, t: int, k: int) -> tuple[int, SymmetricDecomp
     are flagged exact=False.
     """
     tiers = tier_sizes(m, t)
-    if not isinstance(k, numbers.Integral):
-        raise ValueError(f"k={k!r} is not an integer")
+    check_integers(k=k)
     if not 0 < k <= (1 << m):
         raise ValueError("need 0 < k <= 2^m")
     l, base = tier_of(k, tiers)
@@ -179,8 +175,7 @@ def bound_curve(
     check_m(m)
     if t in (None, "full"):
         t = m
-    if not isinstance(t, int):
-        raise ValueError(f"bad symmetry parameter {t!r}")
+    check_integers(t=t)
     ks: Sequence[int] = sorted(k_range) if k_range is not None else representable_dimensions(m, t)
     rows = []
     for k in ks:

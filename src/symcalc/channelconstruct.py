@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .codes import MonomialCode, check_m
+from .codes import MonomialCode, check_integers, check_m
 from .decode import branch_positions, resolve_layer_order
 from .sim import Bec, BiAwgn, ChannelModel, noise_sigma, philox_key
 
@@ -212,6 +212,7 @@ def select_permutations(
     candidate is always retained.  Beyond m = 8 the candidates are a seeded
     sample of the m! orders.
     """
+    check_integers(p_count=p_count, min_dist=min_dist, seed=seed)
     if p_count < 1:
         raise ValueError("need P >= 1")
     m = code.m

@@ -168,7 +168,6 @@ def _cmd_simulate(args) -> int:
         list_size=args.L,
         perm_count=args.P,
         min_dist=args.min_dist,
-        batch=args.batch,
     )
     points = _sim.fer_curve(code, channels, config)
     lines = ["ebn0_or_eps,decoder,L_or_P,frames,errors,fer,ml_certified,wilson_lo,wilson_hi,ties"]
@@ -236,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-errors", type=int, default=1000, dest="max_errors")
     p.add_argument("--max-frames", type=int, default=1_000_000, dest="max_frames")
     p.add_argument("--min-dist", type=int, default=5, dest="min_dist")
-    p.add_argument("--batch", type=int, default=256)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 

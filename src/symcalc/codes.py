@@ -29,8 +29,7 @@ class Monomial:
 
     def __post_init__(self):
         check_m(self.m)
-        if not isinstance(self.mask, numbers.Integral):
-            raise ValueError(f"mask={self.mask!r} is not an integer")
+        check_integers(mask=self.mask)
         if not 0 <= self.mask < (1 << self.m):
             raise ValueError("mask out of range")
 
@@ -248,11 +247,17 @@ _DECIMAL = re.compile(r"[0-9]+")
 _HEX = re.compile(r"[0-9a-f]+")
 
 
+def check_integers(**values) -> None:
+    """Raise ValueError naming the first argument that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name}={value!r} is not an integer")
+
+
 def check_m(m: int, low: int = 0, high: int = MAX_M) -> None:
     """Raise ValueError unless m is an integer in low..high; call it before
     allocating anything of size 2^m."""
-    if not isinstance(m, numbers.Integral):
-        raise ValueError(f"m={m!r} is not an integer")
+    check_integers(m=m)
     if not low <= m <= high:
         raise ValueError(f"m={m} is outside {low}..{high}")
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitmath import BitVec
-from .codes import LinearCode, MonomialCode, kronecker_transform_array, monomial_to_linear
+from .codes import LinearCode, MonomialCode, check_integers, encode_batch, kronecker_transform_array
 
 LLR_CLAMP = 1e30  # stands in for +/- infinity so BEC inputs stay arithmetic-safe
 
@@ -26,13 +26,6 @@ ML_CHUNK_CELLS = 1 << 20  # bounds ml_decode_batch's (codewords, n) and (B, code
 # bounds the LLRs one list decode holds: frames x n x min(L, 2^k) paths
 # (criterion 9's SCL-128 at 256 frames of n = 256 needs 2^23)
 BATCH_LLR_CELLS = 1 << 24
-
-
-def _clamp(llr: np.ndarray) -> np.ndarray:
-    llr = np.asarray(llr, dtype=np.float64)
-    if np.isnan(llr).any():
-        raise ValueError("LLR vector contains NaN")
-    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
 
 
 def _negate_where(x: np.ndarray, mask: np.ndarray) -> None:
@@ -83,8 +76,7 @@ def check_working_set(code: LinearCode | MonomialCode, frames: int, paths: int =
     cells = frames * code.n * paths
     if cells > BATCH_LLR_CELLS:
         raise ValueError(
-            f"a batch of {frames} frames x n={code.n} x {paths} paths is {cells} LLRs, "
-            f"over the limit {BATCH_LLR_CELLS}; lower the batch, list size or order count"
+            f"{frames} frame(s) x n={code.n} x {paths} paths is {cells} LLRs, over the limit {BATCH_LLR_CELLS}"
         )
 
 
@@ -130,11 +122,15 @@ def _setup(m: int, gen_set: frozenset, perm: tuple[int, ...]):
     return coord, inverse, info
 
 
-def _llr_batch(code: MonomialCode, llrs: np.ndarray) -> np.ndarray:
-    lam = _clamp(llrs)
+def _llr_batch(code: LinearCode | MonomialCode, llrs: np.ndarray) -> np.ndarray:
+    """(B, n) LLRs as float64, +-inf clamped to +-LLR_CLAMP; NaN or another
+    shape raises ValueError."""
+    lam = np.asarray(llrs, dtype=np.float64)
+    if np.isnan(lam).any():
+        raise ValueError("LLR vector contains NaN")
     if lam.ndim != 2 or lam.shape[1] != code.n:
         raise ValueError(f"expected LLR batch of shape (B, {code.n}), got {lam.shape}")
-    return lam
+    return np.clip(lam, -LLR_CLAMP, LLR_CLAMP)
 
 
 def _sc_rec(lam: np.ndarray, info: np.ndarray, bits: np.ndarray, ties: np.ndarray):
@@ -293,6 +289,7 @@ def scl_decode_batch(
     Raises ValueError, before any decoding, when frames x n x min(L, 2^k)
     exceeds BATCH_LLR_CELLS.
     """
+    check_integers(L=L)
     if L < 1:
         raise ValueError("list size must be at least 1")
     lam = _llr_batch(code, llrs)
@@ -307,9 +304,9 @@ def scl_decode_batch(
 
 
 @functools.lru_cache(maxsize=32)
-def _monomial_generator(m: int, gen_set: frozenset) -> np.ndarray:
+def _monomial_generator(code: MonomialCode) -> np.ndarray:
     """The uint8 generator matrix of a monomial code, rows in ascending mask order."""
-    gen = monomial_to_linear(MonomialCode(m, gen_set)).generator_array().astype(np.uint8)
+    gen = encode_batch(code, np.eye(code.k, dtype=np.uint8))
     gen.setflags(write=False)
     return gen
 
@@ -326,13 +323,11 @@ def ml_decode_batch(code: LinearCode | MonomialCode, llrs: np.ndarray) -> tuple[
     """
     check_working_set(code, 0, ml=True)  # k only: ML_CHUNK_CELLS bounds the chunks
     if isinstance(code, MonomialCode):
-        gen = _monomial_generator(code.m, code.gen_set)
+        gen = _monomial_generator(code)
     else:
-        gen = code.generator_array().astype(np.uint8)
+        gen = code.generator_array()
     k, n = gen.shape
-    lam = _clamp(llrs)
-    if lam.ndim != 2 or lam.shape[1] != n:
-        raise ValueError(f"expected (B, {n}) LLRs, got shape {lam.shape}")
+    lam = _llr_batch(code, llrs)
     frames = lam.shape[0]
     total = 1 << k
     chunk = max(1, min(total, ML_CHUNK_CELLS // max(n, frames)))

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitmath import BitVec
-from .codes import MonomialCode, encode_batch
+from .codes import MonomialCode, check_integers, encode_batch
 from . import decode as _dec
 
 
@@ -81,7 +81,7 @@ def philox_key(seed: int, index: int) -> np.ndarray:
     Built as a uint64 array because numpy converts a list holding a value of
     2^63 or more through float64, which merges distinct seeds.
     """
-    return np.array([seed & (2**64 - 1), index], dtype=np.uint64)
+    return np.array([int(seed) & (2**64 - 1), index], dtype=np.uint64)
 
 
 def frame_rng(seed: int, frame: int) -> np.random.Generator:
@@ -132,6 +132,8 @@ def draw_frames(
     Bit for bit what `frame_rng(seed, f)`, `integers(0, 2, size=k,
     dtype=uint8)` and `transmit` at the code rate give for each frame f.
     """
+    check_integers(seed=seed, lo=lo, hi=hi)
+    lo, hi = int(lo), int(hi)  # numpy integers would wrap in (hi - lo) * n
     if not 0 <= lo <= hi <= 2**64:
         raise ValueError(f"frame range {lo}..{hi} is not within 0..2^64")
     if (hi - lo) * code.n > _dec.BATCH_LLR_CELLS:
@@ -169,13 +171,12 @@ class SimConfig:
     perm_count: int = 8
     perms: tuple[tuple[int, ...], ...] | None = None
     min_dist: int = 5
-    batch: int = 256
 
     def __post_init__(self):
-        if self.max_errors <= 0 or self.max_frames <= 0 or self.batch <= 0:
-            raise ValueError("limits must be positive")
-        if self.list_size < 1 or self.perm_count < 1:
-            raise ValueError("list size and permutation count must be at least 1")
+        check_integers(max_errors=self.max_errors, max_frames=self.max_frames, seed=self.seed,
+                       list_size=self.list_size, perm_count=self.perm_count, min_dist=self.min_dist)
+        if min(self.max_errors, self.max_frames, self.list_size, self.perm_count) < 1:
+            raise ValueError("limits, list size and permutation count must be at least 1")
         if self.decoder not in ("sc", "scl", "perm", "ml"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
 
@@ -187,9 +188,15 @@ class SimConfig:
         return ""
 
 
-def check_working_set(code: MonomialCode, config: SimConfig, layer_perm: Sequence[int] | None = None) -> None:
-    """Raise ValueError when one batch of `config` on `code` would decode more
-    than decode.BATCH_LLR_CELLS LLRs, ML would enumerate more than
+# the most frames decoded at once; max_errors is tested at batch boundaries,
+# so this also fixes where an error-limited run stops
+FRAME_BATCH = 256
+
+
+def check_working_set(code: MonomialCode, config: SimConfig, layer_perm: Sequence[int] | None = None) -> int:
+    """Return the frames per batch, at most FRAME_BATCH and max_frames and
+    within decode.BATCH_LLR_CELLS LLRs.  Raise ValueError when one frame
+    alone is over that limit, ML would enumerate more than
     2^ML_MAX_DIMENSION codewords, a layer order is given to a decoder that
     does not read it (`layer_perm` to perm or ml, `config.perms` to any but
     perm), or a given layer order is empty or not a permutation of range(m);
@@ -210,8 +217,8 @@ def check_working_set(code: MonomialCode, config: SimConfig, layer_perm: Sequenc
         for perm in config.perms:
             _dec.resolve_layer_order(code.m, perm)
         paths = len(config.perms)
-    frames = min(config.batch, config.max_frames)
-    _dec.check_working_set(code, frames, paths, ml=config.decoder == "ml")
+    _dec.check_working_set(code, 1, paths, ml=config.decoder == "ml")
+    return min(FRAME_BATCH, config.max_frames, _dec.BATCH_LLR_CELLS // (code.n * paths))
 
 
 @dataclass(frozen=True)
@@ -266,9 +273,7 @@ def _decode_batch(code, llrs, config: SimConfig, layer_perm):
     if config.decoder == "perm":
         cw, _ = _dec.sc_decode_orders(code, llrs, config.perms)
         return _closest(cw, llrs)
-    if config.decoder == "ml":
-        return _dec.ml_decode_batch(code, llrs)[0]
-    raise AssertionError(config.decoder)
+    return _dec.ml_decode_batch(code, llrs)[0]  # SimConfig admits no other decoder
 
 
 @dataclass
@@ -291,15 +296,17 @@ def _run_batch(code, channel, config: SimConfig, layer_perm, lo: int, hi: int) -
     return out
 
 
-def _resolve_perms(code, channel, config: SimConfig) -> SimConfig:
+def _resolve_perms(code, channel, config: SimConfig, layer_perm) -> tuple[SimConfig, int]:
+    """The config with any layer orders it asks for selected, and its frames
+    per batch for the orders it decodes; checked before any selection."""
+    batch = check_working_set(code, config, layer_perm)
     if config.decoder != "perm" or config.perms is not None:
-        return config
+        return config, batch
     from .channelconstruct import select_permutations
 
-    sel = select_permutations(
-        code, config.perm_count, channel, min_dist=config.min_dist, seed=config.seed
-    )
-    return replace(config, perms=sel.perms)
+    sel = select_permutations(code, config.perm_count, channel, min_dist=config.min_dist, seed=config.seed)
+    config = replace(config, perms=sel.perms)
+    return config, check_working_set(code, config, layer_perm)
 
 
 def simulate_fer(
@@ -314,14 +321,13 @@ def simulate_fer(
     make the outcome independent of batch size.
     """
     start = time.perf_counter()
-    check_working_set(code, config, layer_perm)
-    config = _resolve_perms(code, channel, config)
+    config, batch = _resolve_perms(code, channel, config, layer_perm)
     totals = _BatchCounts()
 
     stop_reason = "max_frames"
     lo = 0
     while lo < config.max_frames:
-        hi = min(lo + config.batch, config.max_frames)
+        hi = min(lo + batch, config.max_frames)
         counts = _run_batch(code, channel, config, layer_perm, lo, hi)
         totals.frames += counts.frames
         totals.errors += counts.errors
@@ -364,10 +370,9 @@ def fer_curve(
     """One simulation per channel grid point."""
     if not channels:
         raise ValueError("channel grid is empty")
-    check_working_set(code, config, layer_perm)
     points = []
     for ch in channels:
-        cfg = _resolve_perms(code, ch, config)
+        cfg, _ = _resolve_perms(code, ch, config, layer_perm)
         res = simulate_fer(code, ch, cfg, layer_perm)
         points.append(CurvePoint(ch, cfg.decoder, cfg.label(), res))
     return points

@@ -275,6 +275,15 @@ class TestBoundCurve:
         assert not rows[5].exact  # k=6 floors to 5
         assert rows[4].exact
 
+    def test_numpy_integer_t_accepted(self):
+        """Any integer type names t; a non-integer t is still rejected,
+        also when the k range is empty and no bound is evaluated."""
+        assert bound_curve(4, np.int64(2)) == bound_curve(4, 2)
+        assert bound_curve(4, np.uint8(4), [3, 8]) == bound_curve(4, "full", [3, 8])
+        for t in (2.0, "2", 2.5):
+            with pytest.raises(ValueError, match="is not an integer"):
+                bound_curve(4, t, [])
+
 
 class TestGoldenTierTable:
     """The dimension lists, the bound's decompositions and the nearest

@@ -355,14 +355,15 @@ class TestSimulateCommand:
         assert code == EXIT_OK
 
     def test_oversized_batch_exits_2(self, tmp_path, capsys):
+        """A list whose single frame is over the LLR limit: 2^17 paths of n = 256."""
         out = tmp_path / "c.code"
         save_code(MonomialCode(8, frozenset(range(128))), out)
         code, stdout, err = invoke(
             capsys, "simulate", "--code", str(out), "--channel", "awgn:2.0", "--decoder", "scl",
-            "--L", "32", "--batch", "1000000000", "--max-frames", "1000000",
+            "--L", "131072", "--max-frames", "1000000",
         )
         assert code == EXIT_INVALID and not stdout
-        assert err.startswith("error: a batch of 1000000 frames") and err.count("\n") == 1
+        assert err.startswith("error: 1 frame(s) x n=256 x 131072 paths") and err.count("\n") == 1
 
     def test_bad_channel_spec(self, tmp_path, capsys):
         out = tmp_path / "c.code"
@@ -391,6 +392,16 @@ class TestSimulateCommand:
         )
         assert code == EXIT_INVALID and not stdout
         assert "unrecognized arguments: --all-zero" in err
+
+    def test_batch_flag_removed(self, tmp_path, capsys):
+        """The frames per batch follow from the LLR limit; no flag sets them."""
+        out = tmp_path / "c.code"
+        invoke(capsys, "construct", "--m", "4", "--t", "3", "--k", "8", "--out", str(out))
+        code, stdout, err = invoke(
+            capsys, "simulate", "--code", str(out), "--channel", "bec:0.5", "--max-frames", "64", "--batch", "16",
+        )
+        assert code == EXIT_INVALID and not stdout
+        assert "unrecognized arguments: --batch 16" in err
 
 
 # spellings that Python's int() reads as a number but the file format rejects
@@ -511,7 +522,7 @@ MALFORMED_FLAGS = {
             "--P": _int_flag(not_positive),
             "--max-errors": _int_flag(not_positive),
             "--max-frames": _int_flag(not_positive),
-            "--batch": _int_flag(not_positive),
+            "--batch": positive.map(str),
             "--channel": st.sampled_from(BAD_CHANNELS),
             "--decoder": st.sampled_from(["", "SC", "list", "bp"]),
         },

@@ -160,9 +160,15 @@ def ref_scl_batch(code, llrs, L, perm):
 
 @st.composite
 def codes_and_orders(draw, max_m=6):
-    """A random monomial code with 1 <= m <= max_m and 1 to 7 layer orders."""
-    m = draw(st.integers(1, max_m))
-    masks = draw(st.sets(st.integers(0, (1 << m) - 1), max_size=1 << m))
+    """A random monomial code with 1 <= m <= max_m and 1 to 7 layer orders.
+
+    m is uniform on 1..max_m, k on 0..n and the masks a uniform k-subset,
+    all from a seeded generator, because hypothesis's own integers and sets
+    favour small values.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(1, max_m + 1))
+    masks = rng.permutation(1 << m)[: rng.integers(0, (1 << m) + 1)].tolist()
     perms = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=7))
     return MonomialCode(m, frozenset(masks)), [tuple(p) for p in perms]
 

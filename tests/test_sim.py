@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.stats import norm
 
 from symcalc.codes import MonomialCode, encode_batch, monomial_to_linear, rm_code
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
-from symcalc.decode import BATCH_LLR_CELLS
+from symcalc.channelconstruct import select_permutations
+from symcalc.decode import BATCH_LLR_CELLS, scl_decode_batch
 from symcalc.sim import (
     Bec,
     BiAwgn,
@@ -25,6 +27,11 @@ from symcalc.sim import (
 )
 
 CODE_16_8 = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
+
+
+def counts(res: SimResult) -> tuple:
+    """What a run reports, less its wall time and interval."""
+    return res.frames, res.errors, res.ties, res.ml_certified, res.stop_reason
 
 
 class TestChannels:
@@ -157,25 +164,21 @@ class TestSimulateFer:
         )
 
     def test_error_stop_at_batch_boundary(self):
-        cfg = SimConfig(max_errors=10, max_frames=100_000, seed=1, batch=64)
+        cfg = SimConfig(max_errors=10, max_frames=100_000, seed=1)
         res = simulate_fer(CODE_16_8, BiAwgn(0.0), cfg)
         assert res.stop_reason == "max_errors"
-        assert res.errors >= 10 and res.frames % 64 == 0
+        assert res.errors >= 10 and res.frames % 256 == 0
 
-    def test_batch_size_immaterial_without_early_stop(self):
+    def test_batch_size_immaterial_without_early_stop(self, monkeypatch):
         # per-frame substreams: evaluation grouping cannot change any count
-        a = simulate_fer(
-            CODE_16_8, BiAwgn(1.0), SimConfig(max_errors=10**9, max_frames=1000, seed=6, batch=64)
-        )
-        b = simulate_fer(
-            CODE_16_8, BiAwgn(1.0), SimConfig(max_errors=10**9, max_frames=1000, seed=6, batch=250)
-        )
-        assert (a.frames, a.errors, a.ties, a.ml_certified) == (
-            b.frames,
-            b.errors,
-            b.ties,
-            b.ml_certified,
-        )
+        import symcalc.sim as sim_mod
+
+        cfg = SimConfig(max_errors=10**9, max_frames=1000, seed=6)
+        monkeypatch.setattr(sim_mod, "FRAME_BATCH", 64)
+        a = simulate_fer(CODE_16_8, BiAwgn(1.0), cfg)
+        monkeypatch.setattr(sim_mod, "FRAME_BATCH", 250)
+        b = simulate_fer(CODE_16_8, BiAwgn(1.0), cfg)
+        assert counts(a) == counts(b)
 
     def test_rate_one_hard_decision_matches_analytic(self):
         # rate-1 code: SC is per-coordinate hard decision, so
@@ -242,15 +245,16 @@ class TestWorkingSet:
     @pytest.mark.parametrize(
         "config,match",
         [
-            (SimConfig(decoder="scl", list_size=32, batch=10**9, max_frames=10**6), f"over the limit {BATCH_LLR_CELLS}"),
-            (SimConfig(decoder="perm", perm_count=10**4, batch=256), f"over the limit {BATCH_LLR_CELLS}"),
-            (SimConfig(decoder="sc", batch=1 << 17), f"over the limit {BATCH_LLR_CELLS}"),
+            # a single frame over the limit: 2^17 paths or 10^5 orders of n = 256
+            (SimConfig(decoder="scl", list_size=2**17), f"over the limit {BATCH_LLR_CELLS}"),
+            (SimConfig(decoder="perm", perm_count=10**5), f"over the limit {BATCH_LLR_CELLS}"),
+            (SimConfig(decoder="perm", perms=(tuple(range(8)),) * 70_000), f"over the limit {BATCH_LLR_CELLS}"),
             # given layer orders are checked in the same pre-flight
             (SimConfig(decoder="perm", perms=()), "permutation list is empty"),
             (SimConfig(decoder="perm", perms=(tuple(range(8)), (0, 1, 2))), r"not a permutation of range\(8\)"),
             (SimConfig(decoder="perm", perms=((0, 0, 1, 2, 3, 4, 5, 6),)), r"not a permutation of range\(8\)"),
         ],
-        ids=["scl", "perm", "sc", "perm-empty", "perm-short-order", "perm-repeated-variable"],
+        ids=["scl", "perm", "perm-given", "perm-empty", "perm-short-order", "perm-repeated-variable"],
     )
     def test_oversized_batch_rejected_before_any_frame(self, monkeypatch, config, match):
         import tracemalloc
@@ -314,11 +318,79 @@ class TestWorkingSet:
             (CODE_256, SimConfig(decoder="perm", perm_count=32)),
             # the list never exceeds the 2^k codewords, nor the batch the frame budget
             (CODE_16_8, SimConfig(decoder="scl", list_size=10**9)),
-            (CODE_256, SimConfig(decoder="scl", list_size=32, batch=10**9, max_frames=256)),
+            (CODE_256, SimConfig(decoder="scl", list_size=32, max_frames=100)),
         ],
     )
     def test_used_configurations_pass(self, code, config):
-        check_working_set(code, config)
+        """Each runs in batches of 256 frames, or of max_frames if fewer: the
+        limit leaves their grouping, and so their stopping points, alone."""
+        assert check_working_set(code, config) == min(256, config.max_frames)
+
+
+class TestDerivedBatch:
+    """Configs whose 256-frame batch is over BATCH_LLR_CELLS but whose single
+    frame fits run in smaller batches with unchanged per-frame results."""
+
+    CODE = rm_code(2, 6)
+    ORDER = (5, 3, 1, 0, 2, 4)
+    # 1100 orders x n = 64: 2^24 // 70,400 = 238 frames per batch
+    COPIES = SimConfig(decoder="perm", perms=(ORDER,) * 1100, max_errors=10**9, max_frames=240, seed=3)
+    # asks for 1100 orders, but m = 6 has only 720, all kept at min_dist 1:
+    # the batch follows the 720 orders decoded, 256 frames, not 238
+    INCOMPLETE = SimConfig(decoder="perm", perm_count=1100, min_dist=1, max_errors=5, max_frames=10**6, seed=2)
+
+    def test_copies_of_one_order_match_sc(self):
+        assert check_working_set(self.CODE, self.COPIES) == 238
+        perm = simulate_fer(self.CODE, BiAwgn(1.0), self.COPIES)
+        sc = simulate_fer(self.CODE, BiAwgn(1.0), replace(self.COPIES, decoder="sc", perms=None), self.ORDER)
+        assert perm.errors > 0 and counts(perm) == counts(sc)
+
+    @pytest.mark.parametrize("name", ["COPIES", "INCOMPLETE"])
+    def test_fer_curve_groups_like_simulate_fer(self, name):
+        config = getattr(self, name)
+        channel = BiAwgn(-1.0)
+        alone = simulate_fer(self.CODE, channel, config)
+        (point,) = fer_curve(self.CODE, [channel], config)
+        assert counts(point.result) == counts(alone)
+        if name == "INCOMPLETE":
+            assert point.size_label == "720" and (alone.frames, alone.stop_reason) == (256, "max_errors")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SimConfig(max_errors=2.5),
+        lambda: SimConfig(max_frames=10.5),
+        lambda: SimConfig(seed=1.5),
+        lambda: SimConfig(decoder="scl", list_size=2.5),
+        lambda: SimConfig(decoder="perm", perm_count=2.5),
+        lambda: SimConfig(decoder="perm", min_dist=None),
+        lambda: scl_decode_batch(CODE_16_8, np.zeros((1, 16)), 2.5),
+        lambda: draw_frames(CODE_16_8, BiAwgn(2.0), 1, 0, 2.5),
+        lambda: draw_frames(CODE_16_8, BiAwgn(2.0), 1.5, 0, 2),
+        lambda: select_permutations(CODE_16_8, 2.5, BiAwgn(2.0)),
+        lambda: select_permutations(CODE_16_8, 2, BiAwgn(2.0), min_dist=None),
+        lambda: select_permutations(CODE_16_8, 2, BiAwgn(2.0), seed=0.5),
+    ],
+    ids=["max_errors", "max_frames", "seed", "list_size", "perm_count", "min_dist", "scl-L",
+         "draw-hi", "draw-seed", "select-P", "select-min_dist", "select-seed"],
+)
+def test_non_integer_inputs_rejected(call):
+    """A float or None where an integer count or seed belongs raises
+    ValueError at once, not a TypeError mid-run or a fractional label;
+    numpy integers are integers."""
+    with pytest.raises(ValueError, match="is not an integer"):
+        call()
+
+
+def test_numpy_integer_inputs_accepted():
+    plain = SimConfig(max_errors=10**9, max_frames=300, seed=6)
+    typed = SimConfig(max_errors=np.int64(10**9), max_frames=np.int32(300), seed=np.int64(6))
+    assert counts(simulate_fer(CODE_16_8, BiAwgn(1.0), typed)) == counts(simulate_fer(CODE_16_8, BiAwgn(1.0), plain))
+    frames = draw_frames(CODE_16_8, BiAwgn(1.0), np.int64(6), np.uint8(2), np.int16(5))
+    for got, want in zip(frames, draw_frames(CODE_16_8, BiAwgn(1.0), 6, 2, 5)):
+        assert np.array_equal(got, want)
+    assert scl_decode_batch(CODE_16_8, frames[2], np.int64(4))[0].shape == (3, 4, 16)
 
 
 class TestLength256:
