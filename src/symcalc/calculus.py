@@ -16,6 +16,13 @@ on every coset {x, x+b}; Fix_b is self-dual of dimension n/2, so
 dim D_b(C) = n/2 - dim(C^perp & Fix_b) and dim D_b(C^perp) =
 (n - k) - dim(C^perp & Fix_b).  Hence dim D_b(C) = k - n/2 + dim D_b(C^perp)
 for every binary linear code C of length n and dimension k.
+
+A code that `ebch_code` built is invariant under x -> a*x of GF(2^m), with
+field element x at coordinate x.  That map is GF(2)-linear, so it carries
+D_b(C) onto D_(a*b)(C) and the two have the same dimension; the multiplicative
+group is transitive on the nonzero directions, so every e_i gives the same
+dimension and one elimination (direction e_0) profiles the code.  Any other
+linear code, a `type=linear` file included, is eliminated in all m directions.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,9 +43,11 @@ class SymmetryProfile:
     """Dimensions of the m coordinate-direction derivatives of a code.
 
     dims are support counts for a monomial code and derivative-code ranks for
-    a linear code, found through the dual code when 2k > n.  t counts the
-    directions attaining the minimal dimension k_tilde; their indices form
-    target_set.
+    a linear code, found through the dual code when 2k > n.  A code from
+    ebch_code has one rank, taken in direction e_0 and repeated m times:
+    x -> a*x is transitive on the nonzero directions (see the module
+    docstring).  t counts the directions attaining the minimal dimension
+    k_tilde; their indices form target_set.
     """
 
     dims: tuple[int, ...]
@@ -115,14 +124,22 @@ def directional_derivative_code(code: LinearCode, b: int) -> LinearCode:
     return LinearCode(reduced.head(len(pivots)), validate=False)
 
 
+def _rank_dims(code: LinearCode, variables: Iterable[int]) -> tuple[int, ...]:
+    """dim D_(e_i)(C) for each i in `variables`, by elimination.  When 2k > n
+    it is k - n/2 plus the rank of the dual code's derivative (see the module
+    docstring), so elimination runs on the n - k rows of `code.dual()`."""
+    small, shift = (code.dual(), code.k - code.n // 2) if 2 * code.k > code.n else (code, 0)
+    return tuple(shift + directional_derivative_code(small, 1 << i).k for i in variables)
+
+
 def symmetry_profile(code: LinearCode | MonomialCode) -> SymmetryProfile:
     """Derivative dimensions in every coordinate direction, and their minimum.
 
     A monomial code's dimension in direction i is the number of its monomials
     containing x_i (see monomial_derivative_dimension), so it builds no matrix;
-    a linear code's is the rank of its derivative code.  When 2k > n that rank
-    is k - n/2 plus the rank of the dual code's derivative (see the module
-    docstring), so elimination runs on the n - k rows of `code.dual()`.
+    a linear code's is the rank of its derivative code (see _rank_dims).  A
+    code from ebch_code is affine-invariant, so its m ranks are equal and only
+    direction e_0 is eliminated; every other linear code takes m eliminations.
     """
     m = code.m
     if m < 1:
@@ -131,9 +148,10 @@ def symmetry_profile(code: LinearCode | MonomialCode) -> SymmetryProfile:
         masks = np.fromiter(code.gen_set, dtype=np.uint64, count=code.k)
         bits = (masks[:, None] >> np.arange(m, dtype=np.uint64)) & 1
         dims = tuple(bits.sum(axis=0).tolist())
+    elif code._affine_invariant:
+        dims = _rank_dims(code, (0,)) * m
     else:
-        small, shift = (code.dual(), code.k - code.n // 2) if 2 * code.k > code.n else (code, 0)
-        dims = tuple(shift + directional_derivative_code(small, 1 << i).k for i in range(m))
+        dims = _rank_dims(code, range(m))
     k_tilde = min(dims)
     targets = frozenset(i for i, d in enumerate(dims) if d == k_tilde)
     return SymmetryProfile(dims, len(targets), k_tilde, targets)

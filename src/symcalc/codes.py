@@ -73,7 +73,9 @@ class MonomialCode:
 class LinearCode:
     """A binary linear code given by a full-row-rank generator matrix."""
 
-    __slots__ = ("n", "generator", "_canonical", "_array", "_dual")
+    # _affine_invariant: the constructor knows the code is invariant under
+    # x -> a*x + b of GF(2^m) with x at coordinate x (ebch_code sets it)
+    __slots__ = ("n", "generator", "_canonical", "_array", "_dual", "_affine_invariant")
 
     def __init__(self, generator: BitMatrix, validate: bool = True):
         if validate and rank(generator) != generator.rows:
@@ -83,6 +85,7 @@ class LinearCode:
         self._canonical = None
         self._array = None
         self._dual = None
+        self._affine_invariant = False
 
     @classmethod
     def from_spanning_rows(cls, rows: Iterable[int | BitVec], n: int) -> "LinearCode":
@@ -213,6 +216,12 @@ def ebch_code(fld: GF2mField, delta: int) -> LinearCode:
     coset mod 2^m - 1 are kept, and they span the same rows.  One elimination
     of that check gives both the generator (its kernel) and the dual code
     (its nonzero reduced rows), which seeds `dual()`.
+
+    A codeword c has sum_x c_x x^j = 0 for j = 0..delta-2 (with 0^0 = 1), and
+    x -> a*x + b (a != 0) turns x^j into a combination of x^0..x^j, so it maps
+    the code onto itself (Kasami, Lin & Peterson).  The code is marked
+    affine-invariant, which lets `calculus.symmetry_profile` eliminate one
+    direction instead of m.
     """
     m = fld.m
     n = 1 << m
@@ -232,6 +241,7 @@ def ebch_code(fld: GF2mField, delta: int) -> LinearCode:
     reduced, pivots = rref(BitMatrix.from_array(h_ext))
     code = LinearCode(_kernel_from_rref(reduced, pivots), validate=False)
     code._dual = LinearCode(reduced.head(len(pivots)), validate=False)
+    code._affine_invariant = True
     return code
 
 

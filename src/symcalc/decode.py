@@ -10,6 +10,7 @@ most significant variable first.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,10 +87,22 @@ GROUP_LLRS = 2048 * 256
 
 
 def resolve_layer_order(m: int, layer_perm: Sequence[int] | None) -> tuple[int, ...]:
-    """Validate a layer order; None stands for the identity."""
+    """Validate a layer order; None stands for the identity.  A layer order
+    that is not a sequence, or an entry that is not an integer (numpy
+    integers are), raises ValueError naming it."""
     if layer_perm is None:
         return tuple(range(m))
-    perm = tuple(int(x) for x in layer_perm)
+    try:
+        entries = list(layer_perm)
+    except TypeError:
+        raise ValueError(f"layer order {layer_perm!r} is not a sequence") from None
+    perm = []
+    for x in entries:
+        try:
+            perm.append(operator.index(x))
+        except TypeError:
+            raise ValueError(f"layer order entry {x!r} is not an integer") from None
+    perm = tuple(perm)
     if sorted(perm) != list(range(m)):
         raise ValueError(f"{perm!r} is not a permutation of range({m})")
     return perm

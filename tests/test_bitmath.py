@@ -236,17 +236,19 @@ def scanned(monkeypatch):
 
 
 def _ebch_dual_derivatives(monkeypatch, delta):
-    """The matrices that symmetry_profile eliminates for the m = 9 eBCH code
-    of design distance delta: its dual code's derivative in each direction."""
+    """The matrices that the m-direction rank profile eliminates for the
+    m = 9 eBCH code of design distance delta: its dual code's derivative in
+    each direction (symmetry_profile itself takes only the first)."""
     captured = []
 
     def spy(mat):
         captured.append(mat)
         return rref(mat)
 
+    code = ebch_code(GF2mField(9), delta)
     with monkeypatch.context() as patch:
         patch.setattr(calculus, "rref", spy)
-        calculus.symmetry_profile(ebch_code(GF2mField(9), delta))
+        calculus._rank_dims(code, range(code.m))
     return captured
 
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symcalc import calculus
 from symcalc.bitmath import BitMatrix, GF2mField, rank, rref
 from symcalc.bounds import representable_dimensions
 from symcalc.calculus import (
+    _rank_dims,
     derivative_subcode_dim,
     directional_derivative_code,
     is_invariant,
@@ -20,8 +22,10 @@ from symcalc.codes import (
     Monomial,
     MonomialCode,
     ebch_code,
+    load_code,
     monomial_to_linear,
     rm_code,
+    save_code,
 )
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
 
@@ -242,6 +246,42 @@ class TestDualProfile:
         for delta in sorted({2, 3, 4, 5, 7, 11, 31, n - 1} & set(range(2, min(n, 32)))):
             code = ebch_code(fld, delta)
             assert symmetry_profile(code).dims == generator_path_dims(code), (m, delta)
+
+
+class TestAffineShortcut:
+    """A code from ebch_code is profiled by one elimination, because x -> a*x
+    of GF(2^m) is transitive on the nonzero directions; the m-direction
+    path is its oracle on all 348 codes at m = 2..9, delta < min(2^m, 80)."""
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_shortcut_matches_every_direction(self, m):
+        fld = GF2mField(m)
+        for delta in range(2, min(1 << m, 80)):
+            code = ebch_code(fld, delta)
+            dims = symmetry_profile(code).dims
+            assert dims == _rank_dims(code, range(m)), (m, delta)
+            assert dims == generator_path_dims(code), (m, delta)
+            # a direction that is no coordinate, ranked on the code itself
+            assert directional_derivative_code(code, (1 << m) - 1).k == dims[0], (m, delta)
+
+    def test_unmarked_codes_take_every_direction(self, monkeypatch, tmp_path):
+        code = ebch_code(GF2mField(6), 11)
+        save_code(code, tmp_path / "ebch.code")
+        copies = [load_code(tmp_path / "ebch.code"), LinearCode(code.generator)]
+        eliminated = []
+
+        def spy(c, b):
+            eliminated.append(b)
+            return directional_derivative_code(c, b)
+
+        monkeypatch.setattr(calculus, "directional_derivative_code", spy)
+        dims = symmetry_profile(code).dims
+        assert code._affine_invariant and eliminated == [1]
+        for copy in copies:
+            eliminated.clear()
+            assert not copy._affine_invariant
+            assert symmetry_profile(copy).dims == dims
+            assert eliminated == [1 << i for i in range(6)]
 
 
 class TestIsInvariant:

@@ -137,6 +137,17 @@ class TestMaskErrorProbs:
         swapped = sc_error_estimate(code, (3, 1, 2, 0), Bec(0.5))  # target 0 <-> non-target 3
         assert identity != swapped
 
+    def test_float_layer_order_rejected(self):
+        """A float entry is refused, not truncated to another order; numpy
+        integers give the same estimate as ints."""
+        code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
+        with pytest.raises(ValueError, match="entry 0.5 is not an integer"):
+            sc_error_estimate(code, (0.5, 1, 2, 3), Bec(0.5))
+        with pytest.raises(ValueError, match="entry 2.9 is not an integer"):
+            mask_error_probs(4, Bec(0.5), perm=(3, 1, 2.9, 0))
+        typed = sc_error_estimate(code, np.array([3, 1, 2, 0]), Bec(0.5))
+        assert typed == sc_error_estimate(code, (3, 1, 2, 0), Bec(0.5))
+
     @pytest.mark.parametrize("m", [3, 5, 8])
     def test_estimate_is_per_mask_union_bound(self, m):
         """The batched scorer that sc_error_estimate and select_permutations

@@ -697,3 +697,54 @@ def test_batch_correlations_shared_path():
     assert np.allclose(scores, direct, rtol=1e-12, atol=0)
     assert np.array_equal(scores[:, 3], scores[:, 0])
     assert np.array_equal(_batch_correlations(words[:, 2:3], llrs)[:, 0], scores[:, 2])
+
+
+@pytest.mark.parametrize(
+    "n_frames, paths, n, cap",
+    # (frames x paths x n) cells against the cap: several frame blocks, several
+    # path blocks within a frame, ragged last blocks, and the default cap
+    [(9, 7, 16, 64), (5, 33, 8, 40), (13, 3, 32, 200), (9, 1100, 256, None)],
+)
+def test_batch_correlations_blocks_match_one_shot(monkeypatch, n_frames, paths, n, cap):
+    """Blocked correlations equal the one-shot einsum over a sign lookup bit
+    for bit, and no sign block is over _CORRELATION_CHUNK_CELLS cells."""
+    import symcalc.sim as sim_mod
+
+    if cap is not None:
+        monkeypatch.setattr(sim_mod, "_CORRELATION_CHUNK_CELLS", cap)
+    cap = sim_mod._CORRELATION_CHUNK_CELLS
+    assert n_frames * paths * n > 2 * cap  # spans several blocks
+    rng = np.random.default_rng(n_frames * paths)
+    words = rng.integers(0, 2, (n_frames, paths, n)).astype(np.uint8)
+    llrs = 4.0 * rng.standard_normal((n_frames, n))
+    llrs[rng.random(llrs.shape) < 0.1] = np.inf
+    lam = np.clip(llrs, -decode.LLR_CLAMP, decode.LLR_CLAMP)
+    one_shot = np.einsum("bpn,bn->bp", np.array([1.0, -1.0])[words], lam)
+
+    sizes = []
+    einsum = np.einsum
+
+    def spy(subscripts, signs, *operands):
+        sizes.append(signs.size)
+        return einsum(subscripts, signs, *operands)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    assert np.array_equal(_batch_correlations(words, llrs), one_shot)
+    assert len(sizes) > 2 and max(sizes) <= cap
+
+
+def test_layer_orders_must_be_integers():
+    """A float entry is refused, not truncated to another order; numpy
+    integers are integers."""
+    assert decode.resolve_layer_order(3, (np.int64(2), np.int32(0), 1)) == (2, 0, 1)
+    assert decode.resolve_layer_order(3, np.array([1, 2, 0])) == (1, 2, 0)
+    for bad, entry in [((0.5, 1.9, 2), "0.5"), ((0, 1, 2.0), "2.0"), (np.array([0.0, 1.0, 2.0]), "0.0")]:
+        with pytest.raises(ValueError, match=f"layer order entry .*{entry}.* is not an integer"):
+            decode.resolve_layer_order(3, bad)
+    with pytest.raises(ValueError, match="layer order 3 is not a sequence"):
+        decode.resolve_layer_order(3, 3)
+    llrs = np.ones((1, 8))
+    with pytest.raises(ValueError, match="is not an integer"):
+        sc_decode_batch(rm_code(1, 3), llrs, (0.2, 1, 2))
+    with pytest.raises(ValueError, match="is not an integer"):
+        sc_decode_orders(rm_code(1, 3), llrs, [(0, 1, 2), (0.2, 1, 2)])

@@ -287,9 +287,12 @@ class TestWorkingSet:
             (SimConfig(decoder="sc", perms=((0, 0, 0, 0),)), None, "sc decoder takes no permutation list"),
             (SimConfig(decoder="scl", perms=(tuple(range(8)),)), None, "scl decoder takes no permutation list"),
             (SimConfig(decoder="ml", perms=(tuple(range(8)),)), None, "ml decoder takes no permutation list"),
+            # a float entry is refused, not truncated to another order
+            (SimConfig(decoder="perm", perms=((0.2, 1, 2, 3, 4, 5, 6, 7),)), None, "entry 0.2 is not an integer"),
+            (SimConfig(decoder="sc"), (7.0, 6, 5, 4, 3, 2, 1, 0), "entry 7.0 is not an integer"),
         ],
         ids=["sc-repeated-variable", "scl-short-order", "perm-layer-perm", "ml-layer-perm",
-             "sc-perms", "scl-perms", "ml-perms"],
+             "sc-perms", "scl-perms", "ml-perms", "perm-float-order", "sc-float-order"],
     )
     def test_layer_orders_checked_before_any_frame(self, monkeypatch, config, layer_perm, match):
         import symcalc.channelconstruct as cc_mod
@@ -308,6 +311,15 @@ class TestWorkingSet:
     def test_layer_order_accepted_by_sc_and_scl(self):
         for decoder in ("sc", "scl"):
             check_working_set(self.CODE_256, SimConfig(decoder=decoder), (7, 6, 5, 4, 3, 2, 1, 0))
+
+    def test_float_permutation_list_rejected_numpy_integers_accepted(self):
+        code = rm_code(1, 3)
+        with pytest.raises(ValueError, match="entry 0.2 is not an integer"):
+            check_working_set(code, SimConfig(decoder="perm", perms=((0.2, 1, 2),)))
+        typed = SimConfig(decoder="perm", perms=(tuple(np.arange(3)[::-1]), (np.int64(0), 1, 2)), max_frames=300)
+        plain = SimConfig(decoder="perm", perms=((2, 1, 0), (0, 1, 2)), max_frames=300)
+        assert check_working_set(code, typed) == 256
+        assert counts(simulate_fer(code, BiAwgn(1.0), typed)) == counts(simulate_fer(code, BiAwgn(1.0), plain))
 
     @pytest.mark.parametrize(
         "code,config",
