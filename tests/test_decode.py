@@ -18,7 +18,6 @@ from symcalc.codes import (
 )
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
 from symcalc.decode import (
-    llr_check,
     ml_decode_batch,
     ml_decode_bruteforce,
     sc_decode_batch,
@@ -73,6 +72,27 @@ def ref_sc_decode(code: MonomialCode, llr):
 # The engine in symcalc.decode must reproduce their outputs bit for bit.
 
 
+def ref_llr_check(a, b):
+    """The check-node formula frozen as the engine first had it: min-sum
+    sign(a) sign(b) min(|a|, |b|) plus log1p(exp(-|a + b|)) minus
+    log1p(exp(-|a - b|)), one whole-array ufunc call per step.  The engine's
+    llr_check must equal it bit for bit."""
+    out = np.abs(a)
+    tmp = np.abs(b)
+    np.minimum(out, tmp, out=out)
+    np.copysign(out, np.multiply(a, b, out=tmp), out=out)
+    out += ref_log1p_exp_neg_abs(np.add(a, b, out=tmp))
+    out -= ref_log1p_exp_neg_abs(np.subtract(a, b, out=tmp))
+    return out
+
+
+def ref_log1p_exp_neg_abs(t):
+    """log(1 + exp(-|t|)), computed in place."""
+    np.copysign(t, -1.0, out=t)
+    np.exp(t, out=t)
+    return np.log1p(t, out=t)
+
+
 def ref_setup(m, gen_set, perm):
     n = 1 << m
     y = np.arange(n)
@@ -100,7 +120,7 @@ def ref_sc_rec(lam, info):
         return u[:, None].copy(), u[:, None].copy(), ties
     h = lam.shape[1] // 2
     a, b = lam[:, :h], lam[:, h:]
-    cw0, u0, t0 = ref_sc_rec(llr_check(a, b), info[:h])
+    cw0, u0, t0 = ref_sc_rec(ref_llr_check(a, b), info[:h])
     cw1, u1, t1 = ref_sc_rec(b + (1.0 - 2.0 * cw0) * a, info[h:])
     return np.hstack([cw0 ^ cw1, cw1]), np.hstack([u0, u1]), t0 + t1
 
@@ -139,7 +159,7 @@ def ref_scl_rec(lam, metrics, info, L):
         return bits, bits.copy(), metrics + np.logaddexp(0.0, -lam0), par
     h = length // 2
     a, c = lam[:, :, :h], lam[:, :, h:]
-    cw0, u0, met1, par1 = ref_scl_rec(llr_check(a, c), metrics, info[:h], L)
+    cw0, u0, met1, par1 = ref_scl_rec(ref_llr_check(a, c), metrics, info[:h], L)
     sel = par1[:, :, None]
     lg = np.take_along_axis(c, sel, axis=1) + (1.0 - 2.0 * cw0) * np.take_along_axis(a, sel, axis=1)
     cw1, u1, met2, par2 = ref_scl_rec(lg, met1, info[h:], L)
