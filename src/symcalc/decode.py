@@ -5,6 +5,13 @@ resolves the XOR of the two codeword halves (the derivative part) and then
 the second half given that estimate; a layer permutation relabels which
 variable each recursion level splits, with the identity order splitting the
 most significant variable first.
+
+SC walks a cached node plan of its group of layer orders (`_plan`): the
+stacked gathers and leaf patterns, and a tree that names the subtrees frozen
+under every order, which SC skips, and the leaves that are info under every
+order, which decide without a mask.  The check node (`llr_check`) runs large
+inputs in cache-sized blocks; both it and the plan leave every output bit
+as the plain recursion gives it.
 """
 
 from __future__ import annotations
@@ -49,6 +56,15 @@ def _log1p_exp_neg_abs(t: np.ndarray) -> np.ndarray:
     return np.log1p(t, out=t)
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+# llr_check evaluates inputs of more than CHECK_WHOLE_CELLS cells in blocks
+# of CHECK_BLOCK_CELLS (128 kB of float64 per operand, so a block's five
+# arrays stay in L2); smaller inputs take one ufunc call per step
+CHECK_WHOLE_CELLS = 1 << 15
+CHECK_BLOCK_CELLS = 1 << 14
+
+
 def llr_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Check-node combine: exact tanh rule in a numerically stable form,
     min-sum plus the standard log-domain correction.
@@ -58,13 +74,44 @@ def llr_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     min-sum is not a shortcut even on erasure-channel inputs: after a wrong
     guess the recursion reaches magnitudes near 2^48, which do not absorb
     the log(2) correction, and some BEC frames then decode differently.
+
+    a and b are C-contiguous arrays of one shape.  Up to CHECK_WHOLE_CELLS
+    cells each step is one ufunc call over the whole array.  Larger inputs
+    run the same steps on blocks of CHECK_BLOCK_CELLS cells, in two scratch
+    blocks, and take the min-sum sign as the XOR of the sign bits instead
+    of the sign of a * b.  The two differ only where a * b is NaN (an
+    infinity times a zero), where min(|a|, |b|) is zero and adding the
+    correction term, +0 or more, gives +0 either way.  Every other step is
+    the same IEEE operation on the same operands, -|t| included (setting
+    the sign bit is what copysign(t, -1) does), and np.exp and np.log1p
+    see contiguous blocks, so both sizes give the same bits.
     """
-    out = np.abs(a)
-    tmp = np.abs(b)
-    np.minimum(out, tmp, out=out)
-    np.copysign(out, np.multiply(a, b, out=tmp), out=out)
-    out += _log1p_exp_neg_abs(np.add(a, b, out=tmp))
-    out -= _log1p_exp_neg_abs(np.subtract(a, b, out=tmp))
+    if a.size <= CHECK_WHOLE_CELLS:
+        out = np.abs(a)
+        tmp = np.abs(b)
+        np.minimum(out, tmp, out=out)
+        np.copysign(out, np.multiply(a, b, out=tmp), out=out)
+        out += _log1p_exp_neg_abs(np.add(a, b, out=tmp))
+        out -= _log1p_exp_neg_abs(np.subtract(a, b, out=tmp))
+        return out
+    out = np.empty(a.shape)
+    a, b, flat = a.reshape(-1), b.reshape(-1), out.reshape(-1)
+    t_buf = np.empty(CHECK_BLOCK_CELLS)
+    sign_buf = np.empty(CHECK_BLOCK_CELLS, dtype=np.uint64)
+    for lo in range(0, a.size, CHECK_BLOCK_CELLS):
+        x, y, o = a[lo : lo + CHECK_BLOCK_CELLS], b[lo : lo + CHECK_BLOCK_CELLS], flat[lo : lo + CHECK_BLOCK_CELLS]
+        t, sign = t_buf[: x.size], sign_buf[: x.size]
+        t_bits, o_bits = t.view(np.uint64), o.view(np.uint64)
+        np.abs(x, out=o)
+        np.minimum(o, np.abs(y, out=t), out=o)
+        np.bitwise_xor(x.view(np.uint64), y.view(np.uint64), out=sign)
+        np.bitwise_and(sign, _SIGN_BIT, out=sign)
+        np.bitwise_or(o_bits, sign, out=o_bits)
+        for op in (np.add, np.subtract):  # o += corr(a + b), then o -= corr(a - b)
+            op(x, y, out=t)
+            np.bitwise_or(t_bits, _SIGN_BIT, out=t_bits)
+            np.exp(t, out=t)
+            op(o, np.log1p(t, out=t), out=o)
     return out
 
 
@@ -121,18 +168,66 @@ def branch_positions(masks: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return pos
 
 
-@functools.lru_cache(maxsize=128)
-def _setup(m: int, gen_set: frozenset, perm: tuple[int, ...]):
-    """Coordinate gather, its inverse, and the leaf info pattern for one
-    decode order: coordinate v is decoded at leaf inverse[v]."""
+def _node_plan(info: np.ndarray):
+    """The SC plan tree of (n, P) leaf info patterns.
+
+    A subtree frozen under every order is None, any other internal node the
+    pair (left plan, right plan).  A leaf that is info under every order is
+    True, one that is info under some orders its (P, 1) pattern, shared by
+    the leaves of one pattern.
+    """
+    levels = [info.any(axis=1)]
+    while levels[-1].size > 1:
+        levels.append(levels[-1].reshape(-1, 2).any(axis=1))
+    covered = [flags.tolist() for flags in levels]  # [level][i]: subtree i of 2^level leaves holds an info leaf
+    every = info.all(axis=1).tolist()
+    patterns: dict[bytes, np.ndarray] = {}
+
+    def node(level: int, i: int):
+        if not covered[level][i]:
+            return None
+        if level:
+            return node(level - 1, 2 * i), node(level - 1, 2 * i + 1)
+        if every[i]:
+            return True
+        return patterns.setdefault(info[i].tobytes(), info[i, :, None])
+
+    return node(len(covered) - 1, 0)
+
+
+# plans held at once: a perm-32 run at n = 256 uses four groups of 8 orders
+# for its full batches and four more for a short last one; a plan of 8 orders
+# at m = 16 holds about 13 MB
+PLAN_CACHE_SIZE = 16
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """One SC node plan for a group of P layer orders, read-only.
+
+    coord (n, P) gathers each order's recursion coordinates from the
+    original ones, inverse (n, P) is its inverse (coordinate v is decoded
+    at leaf inverse[v]), info (n, P) the leaf info patterns and tree the
+    `_node_plan` of the whole recursion.
+    """
+
+    coord: np.ndarray
+    inverse: np.ndarray
+    info: np.ndarray
+    tree: object
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(m: int, gen_set: frozenset, perms: tuple[tuple[int, ...], ...]) -> _Plan:
+    """The cached SC node plan of a group of resolved layer orders."""
     n = 1 << m
-    inverse = (n - 1) ^ branch_positions(np.arange(n), np.array([perm], dtype=np.int64))[0]
-    coord = np.argsort(inverse)  # recursion coordinate -> original coordinate
-    info = np.zeros(n, dtype=bool)
-    info[inverse[sorted(gen_set)]] = True
+    inverse = np.ascontiguousarray(((n - 1) ^ branch_positions(np.arange(n), np.array(perms, dtype=np.int64))).T)
+    coord = np.argsort(inverse, axis=0)  # recursion coordinate -> original coordinate
+    info = np.zeros((n, len(perms)), dtype=bool)
+    info[inverse[sorted(gen_set)], np.arange(len(perms))] = True
     for arr in (coord, inverse, info):
         arr.setflags(write=False)
-    return coord, inverse, info
+    return _Plan(coord, inverse, info, _node_plan(info))
 
 
 def _llr_batch(code: LinearCode | MonomialCode, llrs: np.ndarray) -> np.ndarray:
@@ -146,26 +241,32 @@ def _llr_batch(code: LinearCode | MonomialCode, llrs: np.ndarray) -> np.ndarray:
     return np.clip(lam, -LLR_CLAMP, LLR_CLAMP)
 
 
-def _sc_rec(lam: np.ndarray, info: np.ndarray, bits: np.ndarray, ties: np.ndarray):
-    """SC over a subtree holding at least one info leaf; overwrites lam.
+def _sc_rec(lam: np.ndarray, node, bits: np.ndarray, ties: np.ndarray):
+    """SC over a subtree that holds an info leaf; overwrites lam.
 
     lam is (len, P, B): the subtree's LLRs for B frames under P layer orders,
-    info (len, P, 1) the orders' leaf patterns.  The subtree's codeword bits
-    go to `bits`, zero on entry, and zero-LLR info decisions are counted in
-    `ties` (P, B).  A subtree frozen under every order is skipped: its bits
-    stay zero and its sibling sees the LLRs b + a.
+    node its `_node_plan`.  The subtree's codeword bits go to `bits`, zero
+    on entry, and zero-LLR info decisions are counted in `ties` (P, B).  A
+    subtree frozen under every order is skipped: its bits stay zero and its
+    sibling sees the LLRs b + a.
     """
-    if lam.shape[0] == 1:
-        np.logical_and(lam[0] < 0, info[0], out=bits[0])
-        ties += (lam[0] == 0) & info[0]
+    if node is True:
+        np.less(lam[0], 0, out=bits[0])
+        ties += lam[0] == 0
         return
+    if lam.shape[0] == 1:
+        np.logical_and(lam[0] < 0, node, out=bits[0])
+        ties += (lam[0] == 0) & node
+        return
+    left, right = node
     h = lam.shape[0] // 2
     a, b = lam[:h], lam[h:]
-    if info[:h].any():
-        _sc_rec(llr_check(a, b), info[:h], bits[:h], ties)
-    if info[h:].any():
-        _negate_where(a, bits[:h])
-        _sc_rec(np.add(b, a, out=a), info[h:], bits[h:], ties)  # b + (1 - 2 bit) a
+    if left is not None:
+        _sc_rec(llr_check(a, b), left, bits[:h], ties)
+    if right is not None:
+        if left is not None:
+            _negate_where(a, bits[:h])
+        _sc_rec(np.add(b, a, out=a), right, bits[h:], ties)  # b + (1 - 2 bit) a
         bits[:h] ^= bits[h:]
 
 
@@ -178,24 +279,25 @@ def sc_decode_orders(
 
     Returns codewords (B, P, n) and zero-LLR decision counts (B, P).  The
     orders ride the batch axis of the recursion, in groups of at most
-    GROUP_LLRS LLRs so that the working set stays bounded.
+    GROUP_LLRS LLRs so that the working set stays bounded; each group walks
+    its cached node plan.
     """
-    setups = [_setup(code.m, code.gen_set, resolve_layer_order(code.m, p)) for p in perms]
-    if not setups:
+    orders = tuple(resolve_layer_order(code.m, p) for p in perms)
+    if not orders:
         raise ValueError("permutation list is empty")
     lam_t = np.ascontiguousarray(_llr_batch(code, llrs).T)  # (n, B)
     b = lam_t.shape[1]
-    codewords = np.empty((b, len(setups), code.n), dtype=np.uint8)
-    ties = np.empty((b, len(setups)), dtype=np.int64)
+    codewords = np.empty((b, len(orders), code.n), dtype=np.uint8)
+    ties = np.empty((b, len(orders)), dtype=np.int64)
     step = max(1, GROUP_LLRS // max(b * code.n, 1))
-    for lo in range(0, len(setups), step):
-        coord, inverse, info = (np.stack(arrs, axis=1) for arrs in zip(*setups[lo : lo + step]))
-        p = info.shape[1]
+    for lo in range(0, len(orders), step):
+        plan = _plan(code.m, code.gen_set, orders[lo : lo + step])
+        p = plan.info.shape[1]
         bits = np.zeros((code.n, p, b), dtype=bool)
         group_ties = np.zeros((p, b), dtype=np.int64)
-        if info.any():
-            _sc_rec(lam_t[coord], info[:, :, None], bits, group_ties)
-        codewords[:, lo : lo + p] = bits[inverse, np.arange(p)].transpose(2, 1, 0)
+        if plan.tree is not None:
+            _sc_rec(lam_t[plan.coord], plan.tree, bits, group_ties)
+        codewords[:, lo : lo + p] = bits[plan.inverse, np.arange(p)].transpose(2, 1, 0)
         ties[:, lo : lo + p] = group_ties.T
     return codewords, ties
 
@@ -291,13 +393,13 @@ def _scl_rec(lam: np.ndarray, metrics: np.ndarray, info: np.ndarray, L: int):
     return bits, met2, par1[par2]
 
 
-def scl_decode_batch(
+def scl_decode_lists(
     code: MonomialCode,
     llrs: np.ndarray,
     L: int,
     layer_perm: Sequence[int] | None = None,
 ):
-    """List decode a batch: returns (bits (B,P,n), u (B,P,n), penalties (B,P)).
+    """List decode a batch: returns (bits (B,P,n), penalties (B,P)).
 
     Raises ValueError, before any decoding, when frames x n x min(L, 2^k)
     exceeds BATCH_LLR_CELLS.
@@ -307,12 +409,24 @@ def scl_decode_batch(
         raise ValueError("list size must be at least 1")
     lam = _llr_batch(code, llrs)
     check_working_set(code, lam.shape[0], min(L, 1 << code.k))
-    coord, inverse, info = _setup(code.m, code.gen_set, resolve_layer_order(code.m, layer_perm))
-    lam = np.ascontiguousarray(lam.T[coord])  # (n, B)
-    bits, penalties, _ = _scl_rec(lam, np.zeros((lam.shape[1], 1)), info, L)
+    plan = _plan(code.m, code.gen_set, (resolve_layer_order(code.m, layer_perm),))
+    lam = np.ascontiguousarray(lam.T[plan.coord[:, 0]])  # (n, B)
+    bits, penalties, _ = _scl_rec(lam, np.zeros((lam.shape[1], 1)), plan.info[:, 0], L)
     if bits is None:  # k = 0: the one path is the zero word
         bits = np.zeros(lam.shape, dtype=np.uint8)
-    codewords = np.ascontiguousarray(bits[inverse].T).reshape(penalties.shape + (code.n,))
+    codewords = np.ascontiguousarray(bits[plan.inverse[:, 0]].T).reshape(penalties.shape + (code.n,))
+    return codewords, penalties
+
+
+def scl_decode_batch(
+    code: MonomialCode,
+    llrs: np.ndarray,
+    L: int,
+    layer_perm: Sequence[int] | None = None,
+):
+    """`scl_decode_lists` with the coefficient vectors: returns (bits (B,P,n),
+    u (B,P,n), penalties (B,P))."""
+    codewords, penalties = scl_decode_lists(code, llrs, L, layer_perm)
     return codewords, kronecker_transform_array(codewords), penalties
 
 

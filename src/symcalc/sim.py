@@ -283,10 +283,9 @@ def _closest(codewords: np.ndarray, llrs: np.ndarray) -> np.ndarray:
 def _decode_batch(code, llrs, config: SimConfig, layer_perm):
     """Returns the decoded codewords (B, n) for the configured decoder."""
     if config.decoder == "sc":
-        cw, _, _ = _dec.sc_decode_batch(code, llrs, layer_perm)
-        return cw
+        return _dec.sc_decode_orders(code, llrs, [layer_perm])[0][:, 0]
     if config.decoder == "scl":
-        cw, _, _ = _dec.scl_decode_batch(code, llrs, config.list_size, layer_perm)
+        cw, _ = _dec.scl_decode_lists(code, llrs, config.list_size, layer_perm)
         return _closest(cw, llrs)
     if config.decoder == "perm":
         cw, _ = _dec.sc_decode_orders(code, llrs, config.perms)

@@ -18,6 +18,7 @@ from symcalc.codes import (
 )
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
 from symcalc.decode import (
+    llr_check,
     ml_decode_batch,
     ml_decode_bruteforce,
     sc_decode_batch,
@@ -362,6 +363,122 @@ def test_negate_where_flips_sign_bit_like_masked_negative(shape, mask_dtype):
     np.negative(ref[:h], out=ref[:h], where=mask.astype(bool))
     decode._negate_where(lam[:h], mask)
     assert np.array_equal(lam.view(np.uint64), ref.view(np.uint64))
+
+
+def _special_halves(shape, seed):
+    """The two halves of a (2h, ...) LLR array, as the SC and SCL recursions
+    pass them to the check node: normal values over 40 orders of magnitude,
+    a third of them swapped for SPECIAL_LLRS."""
+    rng = np.random.default_rng(seed)
+    full = (2 * shape[0],) + shape[1:]
+    lam = rng.standard_normal(full) * 10.0 ** rng.integers(-20, 21, full)
+    flat = lam.reshape(-1)
+    special = rng.random(flat.size) < 1 / 3
+    flat[special] = rng.choice(SPECIAL_LLRS, special.sum())
+    return lam[: shape[0]], lam[shape[0] :]
+
+
+# (len, P, B) halves of the SC recursion and (len, B*p) halves of the SCL
+# recursion: a tiny node, one block's worth, the largest input taken whole,
+# the smallest taken in blocks (two full blocks and a partial one), and
+# whole numbers of blocks with and without a partial last block
+CHECK_SHAPES = [(4, 3, 5), (16, 4, 256), (32, 4, 256), (32, 4, 257), (64, 8, 256), (16, 2048), (8, 4097), (128, 8195)]
+
+
+@pytest.mark.parametrize("shape", CHECK_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_llr_check_equals_frozen_formula_bit_for_bit(shape):
+    """The engine's check node gives the frozen formula's bits on every
+    input size, signed zeros, subnormals, clamps, infinities and the NaNs
+    of inf - inf included."""
+    a, b = _special_halves(shape, sum(shape))
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = ref_llr_check(a.copy(), b.copy())
+        out = llr_check(a, b)
+    assert out.shape == a.shape
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+def test_check_shapes_cover_both_paths():
+    cells = [math.prod(shape) for shape in CHECK_SHAPES]
+    whole, block = decode.CHECK_WHOLE_CELLS, decode.CHECK_BLOCK_CELLS
+    assert min(cells) < block and block in cells and whole in cells
+    blocked = [c for c in cells if c > whole]
+    assert any(c % block for c in blocked) and any(c % block == 0 for c in blocked)
+
+
+@pytest.mark.parametrize("whole, block", [(0, 1), (0, 7), (16, 16), (100, 64)])
+def test_llr_check_blocks_do_not_change_bits(monkeypatch, whole, block):
+    """Any block size, a partial last block included, gives the same bits:
+    small limits send (len, P, B) and (len, B*p) inputs through many
+    blocks."""
+    monkeypatch.setattr(decode, "CHECK_WHOLE_CELLS", whole)
+    monkeypatch.setattr(decode, "CHECK_BLOCK_CELLS", block)
+    for shape in [(4, 3, 5), (8, 2, 13), (8, 33)]:
+        a, b = _special_halves(shape, block + sum(shape))
+        with np.errstate(invalid="ignore", over="ignore"):
+            ref = ref_llr_check(a.copy(), b.copy())
+            out = llr_check(a, b)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+def ref_check_node_count(info: np.ndarray) -> int:
+    """Internal nodes of the decode tree whose left subtree holds a leaf that
+    is info under some order, level by level over the (n, P) leaf patterns:
+    the nodes where SC must run the check node."""
+    n, count, size = info.shape[0], 0, info.shape[0]
+    while size > 1:
+        h = size // 2
+        count += sum(bool(info[lo : lo + h].any()) for lo in range(0, n, size))
+        size = h
+    return count
+
+
+@settings(max_examples=150, deadline=None)
+@given(decode_cases())
+@with_edge_cases()
+def test_plan_skips_frozen_subtrees(case):
+    """SC runs the check node exactly where a left subtree holds an info
+    leaf under some order of the group, and nowhere else."""
+    code, perms, llrs = case
+    info = np.stack([ref_setup(code.m, code.gen_set, p)[1] for p in perms], axis=1)
+    with mock.patch.object(decode, "llr_check", wraps=decode.llr_check) as spy:
+        cws, ties = sc_decode_orders(code, llrs, perms)
+    assert spy.call_count == ref_check_node_count(info)
+    for i, perm in enumerate(perms):
+        ref_cw, _, ref_ties = ref_sc_batch(code, llrs, perm)
+        assert np.array_equal(cws[:, i], ref_cw) and np.array_equal(ties[:, i], ref_ties)
+
+
+def test_plan_cache_is_bounded_and_read_only():
+    """A perm run over more single-order groups than the plan cache holds
+    evicts plans and still gives each order's own codewords and ties, and no
+    plan array can be written."""
+    size = decode._plan.cache_info().maxsize
+    assert size is not None
+    rng = np.random.default_rng(19)
+    code = MonomialCode(5, frozenset(rng.permutation(32)[:13].tolist()))
+    perms = list(itertools.permutations(range(5)))[: size + 9]
+    llrs = 2.0 * (1.0 - 2.0 * rng.integers(0, 2, (3, 32)) + 0.9 * rng.standard_normal((3, 32)))
+    with mock.patch.object(decode, "GROUP_LLRS", llrs.size):
+        cws, ties = sc_decode_orders(code, llrs, perms)
+    assert decode._plan.cache_info().currsize <= size
+    for i, perm in enumerate(perms):
+        one_cw, one_ties = sc_decode_orders(code, llrs, [perm])
+        assert np.array_equal(cws[:, i], one_cw[:, 0]) and np.array_equal(ties[:, i], one_ties[:, 0])
+    plan = decode._plan(code.m, code.gen_set, tuple(perms[:3]))
+    leaves = []
+
+    def collect(node):
+        if isinstance(node, tuple):
+            collect(node[0])
+            collect(node[1])
+        elif isinstance(node, np.ndarray):
+            leaves.append(node)
+
+    collect(plan.tree)
+    assert leaves  # the three orders disagree on some info leaf
+    for arr in [plan.coord, plan.inverse, plan.info] + leaves:
+        assert not arr.flags.writeable
 
 
 class TestLength256Reference:
