@@ -40,7 +40,7 @@ from .construct import (
     biregular_subgraph,
     construct_partially_symmetric,
 )
-from .decode import ml_decode_batch, sc_decode_batch, sc_decode_orders, scl_decode_batch, scl_decode_lists
+from .decode import ml_decode_batch, sc_decode_batch, sc_decode_orders, scl_decode_batch
 from .sim import Bec, BiAwgn, SimConfig, SimResult, draw_frames, fer_curve, simulate_fer, transmit
 
 __version__ = "0.1.0"

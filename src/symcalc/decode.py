@@ -6,8 +6,9 @@ the second half given that estimate; a layer permutation relabels which
 variable each recursion level splits, with the identity order splitting the
 most significant variable first.
 
-SC walks a cached node plan of its group of layer orders (`_plan`): the
-stacked gathers and leaf patterns, and a tree that names the subtrees frozen
+Each layer order's gathers and leaf pattern are built once and cached
+(`_setup`).  SC walks a cached node plan of its group of layer orders
+(`_plan`): those arrays stacked, and a tree that names the subtrees frozen
 under every order, which SC skips, and the leaves that are info under every
 order, which decide without a mask.  The check node (`llr_check`) runs large
 inputs in cache-sized blocks; both it and the plan leave every output bit
@@ -60,8 +61,11 @@ _SIGN_BIT = np.uint64(1 << 63)
 
 # llr_check evaluates inputs of more than CHECK_WHOLE_CELLS cells in blocks
 # of CHECK_BLOCK_CELLS (128 kB of float64 per operand, so a block's five
-# arrays stay in L2); smaller inputs take one ufunc call per step
-CHECK_WHOLE_CELLS = 1 << 15
+# arrays stay in L2); smaller inputs take one ufunc call per step.  The two
+# forms took the same time at 2^11 cells; the blocked one took 10-15% less
+# from 2^12 to 2^15 cells and the whole one 20-30% less at 2^8 to 2^10
+# (random normal inputs, 2-core x86-64 with AVX-512, numpy 2.4)
+CHECK_WHOLE_CELLS = 1 << 11
 CHECK_BLOCK_CELLS = 1 << 14
 
 
@@ -96,8 +100,8 @@ def llr_check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
     out = np.empty(a.shape)
     a, b, flat = a.reshape(-1), b.reshape(-1), out.reshape(-1)
-    t_buf = np.empty(CHECK_BLOCK_CELLS)
-    sign_buf = np.empty(CHECK_BLOCK_CELLS, dtype=np.uint64)
+    t_buf = np.empty(min(a.size, CHECK_BLOCK_CELLS))
+    sign_buf = np.empty(t_buf.size, dtype=np.uint64)
     for lo in range(0, a.size, CHECK_BLOCK_CELLS):
         x, y, o = a[lo : lo + CHECK_BLOCK_CELLS], b[lo : lo + CHECK_BLOCK_CELLS], flat[lo : lo + CHECK_BLOCK_CELLS]
         t, sign = t_buf[: x.size], sign_buf[: x.size]
@@ -168,36 +172,50 @@ def branch_positions(masks: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return pos
 
 
+@functools.lru_cache(maxsize=128)
+def _setup(m: int, gen_set: frozenset, perm: tuple[int, ...]):
+    """Coordinate gather, its inverse, and the leaf info pattern for one
+    decode order: coordinate v is decoded at leaf inverse[v]."""
+    n = 1 << m
+    inverse = (n - 1) ^ branch_positions(np.arange(n), np.array([perm], dtype=np.int64))[0]
+    coord = np.argsort(inverse)  # recursion coordinate -> original coordinate
+    info = np.zeros(n, dtype=bool)
+    info[inverse[sorted(gen_set)]] = True
+    for arr in (coord, inverse, info):
+        arr.setflags(write=False)
+    return coord, inverse, info
+
+
 def _node_plan(info: np.ndarray):
-    """The SC plan tree of (n, P) leaf info patterns.
+    """The SC plan tree of (n, P) leaf info patterns, built level by level
+    from the leaves up.
 
     A subtree frozen under every order is None, any other internal node the
     pair (left plan, right plan).  A leaf that is info under every order is
-    True, one that is info under some orders its (P, 1) pattern, shared by
-    the leaves of one pattern.
+    True, one that is info under some orders its (P, 1) pattern, a view of
+    info shared by the leaves of one pattern.
     """
-    levels = [info.any(axis=1)]
-    while levels[-1].size > 1:
-        levels.append(levels[-1].reshape(-1, 2).any(axis=1))
-    covered = [flags.tolist() for flags in levels]  # [level][i]: subtree i of 2^level leaves holds an info leaf
-    every = info.all(axis=1).tolist()
+    p = info.shape[1]
+    raw = info.tobytes()
     patterns: dict[bytes, np.ndarray] = {}
+    nodes = []
+    for i, count in enumerate(info.sum(axis=1).tolist()):
+        if count == p:
+            nodes.append(True)
+        elif count:
+            nodes.append(patterns.setdefault(raw[i * p : (i + 1) * p], info[i, :, None]))
+        else:
+            nodes.append(None)
+    while len(nodes) > 1:
+        nodes = [None if left is None and right is None else (left, right) for left, right in zip(nodes[::2], nodes[1::2])]
+    return nodes[0]
 
-    def node(level: int, i: int):
-        if not covered[level][i]:
-            return None
-        if level:
-            return node(level - 1, 2 * i), node(level - 1, 2 * i + 1)
-        if every[i]:
-            return True
-        return patterns.setdefault(info[i].tobytes(), info[i, :, None])
 
-    return node(len(covered) - 1, 0)
-
-
-# plans held at once: a perm-32 run at n = 256 uses four groups of 8 orders
-# for its full batches and four more for a short last one; a plan of 8 orders
-# at m = 16 holds about 13 MB
+# group plans held at once, beside the per-order setups they stack.  A run of
+# more groups (a perm-32 batch at m >= 12 takes one order a group) builds a
+# group's plan again on each batch: a stack of cached setups and a tree, 0.6 ms
+# for one order at m = 12 and 12 ms at m = 16, against 96 ms and 0.8 s of SC
+# for its 128 and 8 frames
 PLAN_CACHE_SIZE = 16
 
 
@@ -220,11 +238,7 @@ class _Plan:
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(m: int, gen_set: frozenset, perms: tuple[tuple[int, ...], ...]) -> _Plan:
     """The cached SC node plan of a group of resolved layer orders."""
-    n = 1 << m
-    inverse = np.ascontiguousarray(((n - 1) ^ branch_positions(np.arange(n), np.array(perms, dtype=np.int64))).T)
-    coord = np.argsort(inverse, axis=0)  # recursion coordinate -> original coordinate
-    info = np.zeros((n, len(perms)), dtype=bool)
-    info[inverse[sorted(gen_set)], np.arange(len(perms))] = True
+    coord, inverse, info = (np.stack(arrs, axis=1) for arrs in zip(*(_setup(m, gen_set, p) for p in perms)))
     for arr in (coord, inverse, info):
         arr.setflags(write=False)
     return _Plan(coord, inverse, info, _node_plan(info))
@@ -393,28 +407,20 @@ def _scl_rec(lam: np.ndarray, metrics: np.ndarray, info: np.ndarray, L: int):
     return bits, met2, par1[par2]
 
 
-def scl_decode_lists(
-    code: MonomialCode,
-    llrs: np.ndarray,
-    L: int,
-    layer_perm: Sequence[int] | None = None,
-):
-    """List decode a batch: returns (bits (B,P,n), penalties (B,P)).
-
-    Raises ValueError, before any decoding, when frames x n x min(L, 2^k)
-    exceeds BATCH_LLR_CELLS.
-    """
+def _scl_decode_lists(code: MonomialCode, llrs: np.ndarray, L: int, layer_perm: Sequence[int] | None):
+    """`scl_decode_batch` without the coefficient vectors: returns (bits
+    (B,P,n), penalties (B,P)); the simulator's list decoder."""
     check_integers(L=L)
     if L < 1:
         raise ValueError("list size must be at least 1")
     lam = _llr_batch(code, llrs)
     check_working_set(code, lam.shape[0], min(L, 1 << code.k))
-    plan = _plan(code.m, code.gen_set, (resolve_layer_order(code.m, layer_perm),))
-    lam = np.ascontiguousarray(lam.T[plan.coord[:, 0]])  # (n, B)
-    bits, penalties, _ = _scl_rec(lam, np.zeros((lam.shape[1], 1)), plan.info[:, 0], L)
+    coord, inverse, info = _setup(code.m, code.gen_set, resolve_layer_order(code.m, layer_perm))
+    lam = np.ascontiguousarray(lam.T[coord])  # (n, B)
+    bits, penalties, _ = _scl_rec(lam, np.zeros((lam.shape[1], 1)), info, L)
     if bits is None:  # k = 0: the one path is the zero word
         bits = np.zeros(lam.shape, dtype=np.uint8)
-    codewords = np.ascontiguousarray(bits[plan.inverse[:, 0]].T).reshape(penalties.shape + (code.n,))
+    codewords = np.ascontiguousarray(bits[inverse].T).reshape(penalties.shape + (code.n,))
     return codewords, penalties
 
 
@@ -424,9 +430,12 @@ def scl_decode_batch(
     L: int,
     layer_perm: Sequence[int] | None = None,
 ):
-    """`scl_decode_lists` with the coefficient vectors: returns (bits (B,P,n),
-    u (B,P,n), penalties (B,P))."""
-    codewords, penalties = scl_decode_lists(code, llrs, L, layer_perm)
+    """List decode a batch: returns (bits (B,P,n), u (B,P,n), penalties (B,P)).
+
+    Raises ValueError, before any decoding, when frames x n x min(L, 2^k)
+    exceeds BATCH_LLR_CELLS.
+    """
+    codewords, penalties = _scl_decode_lists(code, llrs, L, layer_perm)
     return codewords, kronecker_transform_array(codewords), penalties
 
 

@@ -285,7 +285,7 @@ def _decode_batch(code, llrs, config: SimConfig, layer_perm):
     if config.decoder == "sc":
         return _dec.sc_decode_orders(code, llrs, [layer_perm])[0][:, 0]
     if config.decoder == "scl":
-        cw, _ = _dec.scl_decode_lists(code, llrs, config.list_size, layer_perm)
+        cw, _ = _dec._scl_decode_lists(code, llrs, config.list_size, layer_perm)
         return _closest(cw, llrs)
     if config.decoder == "perm":
         cw, _ = _dec.sc_decode_orders(code, llrs, config.perms)

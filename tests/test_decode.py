@@ -379,10 +379,22 @@ def _special_halves(shape, seed):
 
 
 # (len, P, B) halves of the SC recursion and (len, B*p) halves of the SCL
-# recursion: a tiny node, one block's worth, the largest input taken whole,
-# the smallest taken in blocks (two full blocks and a partial one), and
-# whole numbers of blocks with and without a partial last block
-CHECK_SHAPES = [(4, 3, 5), (16, 4, 256), (32, 4, 256), (32, 4, 257), (64, 8, 256), (16, 2048), (8, 4097), (128, 8195)]
+# recursion: a tiny node, the largest input taken whole, the smallest taken
+# in blocks (one partial block), one block's worth, and whole numbers of
+# blocks with and without a partial last block
+CHECK_SHAPES = [
+    (4, 3, 5),
+    (8, 1, 256),
+    (4, 2, 257),
+    (16, 4, 256),
+    (32, 4, 256),
+    (32, 4, 257),
+    (64, 8, 256),
+    (8, 256),
+    (16, 2048),
+    (8, 4097),
+    (128, 8195),
+]
 
 
 @pytest.mark.parametrize("shape", CHECK_SHAPES, ids=lambda s: "x".join(map(str, s)))
@@ -450,21 +462,20 @@ def test_plan_skips_frozen_subtrees(case):
 
 
 def test_plan_cache_is_bounded_and_read_only():
-    """A perm run over more single-order groups than the plan cache holds
-    evicts plans and still gives each order's own codewords and ties, and no
-    plan array can be written."""
-    size = decode._plan.cache_info().maxsize
-    assert size is not None
+    """A perm run over more orders than the setup cache and more single-order
+    groups than the plan cache hold evicts both and still gives each order's
+    reference codewords and ties, and no cached array can be written."""
+    size = decode._setup.cache_info().maxsize
+    assert size is not None and decode._plan.cache_info().maxsize is not None
     rng = np.random.default_rng(19)
-    code = MonomialCode(5, frozenset(rng.permutation(32)[:13].tolist()))
-    perms = list(itertools.permutations(range(5)))[: size + 9]
-    llrs = 2.0 * (1.0 - 2.0 * rng.integers(0, 2, (3, 32)) + 0.9 * rng.standard_normal((3, 32)))
+    code = MonomialCode(6, frozenset(rng.permutation(64)[:29].tolist()))
+    perms = list(itertools.permutations(range(6)))[: size + 9]
+    llrs = 2.0 * (1.0 - 2.0 * rng.integers(0, 2, (3, 64)) + 0.9 * rng.standard_normal((3, 64)))
     with mock.patch.object(decode, "GROUP_LLRS", llrs.size):
         cws, ties = sc_decode_orders(code, llrs, perms)
-    assert decode._plan.cache_info().currsize <= size
     for i, perm in enumerate(perms):
-        one_cw, one_ties = sc_decode_orders(code, llrs, [perm])
-        assert np.array_equal(cws[:, i], one_cw[:, 0]) and np.array_equal(ties[:, i], one_ties[:, 0])
+        ref_cw, _, ref_ties = ref_sc_batch(code, llrs, perm)
+        assert np.array_equal(cws[:, i], ref_cw) and np.array_equal(ties[:, i], ref_ties)
     plan = decode._plan(code.m, code.gen_set, tuple(perms[:3]))
     leaves = []
 
@@ -477,7 +488,7 @@ def test_plan_cache_is_bounded_and_read_only():
 
     collect(plan.tree)
     assert leaves  # the three orders disagree on some info leaf
-    for arr in [plan.coord, plan.inverse, plan.info] + leaves:
+    for arr in [plan.coord, plan.inverse, plan.info, *decode._setup(code.m, code.gen_set, perms[0])] + leaves:
         assert not arr.flags.writeable
 
 
