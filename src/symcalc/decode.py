@@ -61,10 +61,11 @@ _SIGN_BIT = np.uint64(1 << 63)
 
 # llr_check evaluates inputs of more than CHECK_WHOLE_CELLS cells in blocks
 # of CHECK_BLOCK_CELLS (128 kB of float64 per operand, so a block's five
-# arrays stay in L2); smaller inputs take one ufunc call per step.  The two
-# forms took the same time at 2^11 cells; the blocked one took 10-15% less
-# from 2^12 to 2^15 cells and the whole one 20-30% less at 2^8 to 2^10
-# (random normal inputs, 2-core x86-64 with AVX-512, numpy 2.4)
+# arrays stay in L2); smaller inputs take one ufunc call per step.  The limit
+# is the measured crossover: the whole form took 7% less time at 2^11 cells
+# and 20-35% less at 2^8 to 2^10, the blocked one 1-8% less at 2^12 and
+# 11-14% less from 2^13 to 2^15 (random normal inputs, two sittings, 2-core
+# x86-64 with AVX-512, numpy 2.4)
 CHECK_WHOLE_CELLS = 1 << 11
 CHECK_BLOCK_CELLS = 1 << 14
 
