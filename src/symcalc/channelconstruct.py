@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .codes import MonomialCode, check_integers, check_m
+from .codes import MonomialCode, check_integers, check_m, check_monomial
 from .decode import branch_positions, resolve_layer_order
 from .sim import Bec, BiAwgn, ChannelModel, noise_sigma, philox_key
 
@@ -155,6 +155,7 @@ def polar_code(m: int, k: int, channel: ChannelModel) -> MonomialCode:
 
 def sc_error_estimate(code: MonomialCode, perm: Sequence[int] | None, channel: ChannelModel) -> float:
     """Union-bound SC frame-error estimate under a layer permutation."""
+    check_monomial(code)
     perm = resolve_layer_order(code.m, perm)
     return float(_union_bound_scores(code, channel, np.array([perm], dtype=np.int64))[0])
 
@@ -212,6 +213,7 @@ def select_permutations(
     candidate is always retained.  Beyond m = 8 the candidates are a seeded
     sample of the m! orders.
     """
+    check_monomial(code)
     check_integers(p_count=p_count, min_dist=min_dist, seed=seed)
     if p_count < 1:
         raise ValueError("need P >= 1")

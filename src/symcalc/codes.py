@@ -272,6 +272,13 @@ def check_m(m: int, low: int = 0, high: int = MAX_M) -> None:
         raise ValueError(f"m={m} is outside {low}..{high}")
 
 
+def check_monomial(code) -> None:
+    """Raise ValueError unless code is a MonomialCode: the SC family, the
+    simulator and the layer-order ranking address positions by exponent mask."""
+    if not isinstance(code, MonomialCode):
+        raise ValueError(f"{type(code).__name__} is not a monomial code")
+
+
 def save_code(code: MonomialCode | LinearCode, path: str | Path) -> None:
     lines = []
     if isinstance(code, MonomialCode):

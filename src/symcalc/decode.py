@@ -6,13 +6,13 @@ the second half given that estimate; a layer permutation relabels which
 variable each recursion level splits, with the identity order splitting the
 most significant variable first.
 
-Each layer order's gathers and leaf pattern are built once and cached
-(`_setup`).  SC walks a cached node plan of its group of layer orders
-(`_plan`): those arrays stacked, and a tree that names the subtrees frozen
-under every order, which SC skips, and the leaves that are info under every
-order, which decide without a mask.  The check node (`llr_check`) runs large
-inputs in cache-sized blocks; both it and the plan leave every output bit
-as the plain recursion gives it.
+SC, permutation and list decoding read one cached node plan per group of
+layer orders (`_plan`, a list decode a group of one): each order's
+coordinate gathers and leaf info pattern, and a tree that names the subtrees
+frozen under every order, which SC skips, and the leaves that are info under
+every order, which decide without a mask.  The check node (`llr_check`) runs
+large inputs in cache-sized blocks; both it and the plan leave every output
+bit as the plain recursion gives it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitmath import BitVec
-from .codes import LinearCode, MonomialCode, check_integers, encode_batch, kronecker_transform_array
+from .codes import LinearCode, MonomialCode, check_integers, check_monomial, encode_batch, kronecker_transform_array
 
 LLR_CLAMP = 1e30  # stands in for +/- infinity so BEC inputs stay arithmetic-safe
 
@@ -173,20 +173,6 @@ def branch_positions(masks: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return pos
 
 
-@functools.lru_cache(maxsize=128)
-def _setup(m: int, gen_set: frozenset, perm: tuple[int, ...]):
-    """Coordinate gather, its inverse, and the leaf info pattern for one
-    decode order: coordinate v is decoded at leaf inverse[v]."""
-    n = 1 << m
-    inverse = (n - 1) ^ branch_positions(np.arange(n), np.array([perm], dtype=np.int64))[0]
-    coord = np.argsort(inverse)  # recursion coordinate -> original coordinate
-    info = np.zeros(n, dtype=bool)
-    info[inverse[sorted(gen_set)]] = True
-    for arr in (coord, inverse, info):
-        arr.setflags(write=False)
-    return coord, inverse, info
-
-
 def _node_plan(info: np.ndarray):
     """The SC plan tree of (n, P) leaf info patterns, built level by level
     from the leaves up.
@@ -212,17 +198,16 @@ def _node_plan(info: np.ndarray):
     return nodes[0]
 
 
-# group plans held at once, beside the per-order setups they stack.  A run of
-# more groups (a perm-32 batch at m >= 12 takes one order a group) builds a
-# group's plan again on each batch: a stack of cached setups and a tree, 0.6 ms
-# for one order at m = 12 and 12 ms at m = 16, against 96 ms and 0.8 s of SC
-# for its 128 and 8 frames
+# plans held at once.  A run of more groups (a perm-32 batch at m >= 12 takes
+# one order a group) builds a group's plan again on each batch: 1.2 ms for one
+# order at m = 12 and 20 ms at m = 16, against 96 ms and 0.8 s of SC for its
+# 128 and 8 frames
 PLAN_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """One SC node plan for a group of P layer orders, read-only.
+    """One node plan for a group of P layer orders, read-only.
 
     coord (n, P) gathers each order's recursion coordinates from the
     original ones, inverse (n, P) is its inverse (coordinate v is decoded
@@ -238,8 +223,12 @@ class _Plan:
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(m: int, gen_set: frozenset, perms: tuple[tuple[int, ...], ...]) -> _Plan:
-    """The cached SC node plan of a group of resolved layer orders."""
-    coord, inverse, info = (np.stack(arrs, axis=1) for arrs in zip(*(_setup(m, gen_set, p) for p in perms)))
+    """The cached node plan of a group of resolved layer orders."""
+    n = 1 << m
+    inverse = ((n - 1) ^ branch_positions(np.arange(n), np.array(perms, dtype=np.int64))).T.copy()
+    coord = np.argsort(inverse, axis=0)  # recursion coordinate -> original coordinate
+    info = np.zeros(inverse.shape, dtype=bool)
+    info[inverse[sorted(gen_set)], np.arange(len(perms))] = True
     for arr in (coord, inverse, info):
         arr.setflags(write=False)
     return _Plan(coord, inverse, info, _node_plan(info))
@@ -295,13 +284,16 @@ def sc_decode_orders(
     Returns codewords (B, P, n) and zero-LLR decision counts (B, P).  The
     orders ride the batch axis of the recursion, in groups of at most
     GROUP_LLRS LLRs so that the working set stays bounded; each group walks
-    its cached node plan.
+    its cached node plan.  Raises ValueError, before any decoding, when
+    frames x n x P exceeds BATCH_LLR_CELLS.
     """
+    check_monomial(code)
     orders = tuple(resolve_layer_order(code.m, p) for p in perms)
     if not orders:
         raise ValueError("permutation list is empty")
     lam_t = np.ascontiguousarray(_llr_batch(code, llrs).T)  # (n, B)
     b = lam_t.shape[1]
+    check_working_set(code, b, len(orders))
     codewords = np.empty((b, len(orders), code.n), dtype=np.uint8)
     ties = np.empty((b, len(orders)), dtype=np.int64)
     step = max(1, GROUP_LLRS // max(b * code.n, 1))
@@ -411,17 +403,18 @@ def _scl_rec(lam: np.ndarray, metrics: np.ndarray, info: np.ndarray, L: int):
 def _scl_decode_lists(code: MonomialCode, llrs: np.ndarray, L: int, layer_perm: Sequence[int] | None):
     """`scl_decode_batch` without the coefficient vectors: returns (bits
     (B,P,n), penalties (B,P)); the simulator's list decoder."""
+    check_monomial(code)
     check_integers(L=L)
     if L < 1:
         raise ValueError("list size must be at least 1")
     lam = _llr_batch(code, llrs)
     check_working_set(code, lam.shape[0], min(L, 1 << code.k))
-    coord, inverse, info = _setup(code.m, code.gen_set, resolve_layer_order(code.m, layer_perm))
-    lam = np.ascontiguousarray(lam.T[coord])  # (n, B)
-    bits, penalties, _ = _scl_rec(lam, np.zeros((lam.shape[1], 1)), info, L)
+    plan = _plan(code.m, code.gen_set, (resolve_layer_order(code.m, layer_perm),))
+    lam = np.ascontiguousarray(lam.T[plan.coord[:, 0]])  # (n, B)
+    bits, penalties, _ = _scl_rec(lam, np.zeros((lam.shape[1], 1)), plan.info[:, 0], L)
     if bits is None:  # k = 0: the one path is the zero word
         bits = np.zeros(lam.shape, dtype=np.uint8)
-    codewords = np.ascontiguousarray(bits[inverse].T).reshape(penalties.shape + (code.n,))
+    codewords = np.ascontiguousarray(bits[plan.inverse[:, 0]].T).reshape(penalties.shape + (code.n,))
     return codewords, penalties
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitmath import BitVec
-from .codes import MonomialCode, check_integers, encode_batch
+from .codes import MonomialCode, check_integers, check_monomial, encode_batch
 from . import decode as _dec
 
 
@@ -132,6 +132,7 @@ def draw_frames(
     Bit for bit what `frame_rng(seed, f)`, `integers(0, 2, size=k,
     dtype=uint8)` and `transmit` at the code rate give for each frame f.
     """
+    check_monomial(code)
     check_integers(seed=seed, lo=lo, hi=hi)
     lo, hi = int(lo), int(hi)  # numpy integers would wrap in (hi - lo) * n
     if not 0 <= lo <= hi <= 2**64:
@@ -200,7 +201,9 @@ def check_working_set(code: MonomialCode, config: SimConfig, layer_perm: Sequenc
     2^ML_MAX_DIMENSION codewords, a layer order is given to a decoder that
     does not read it (`layer_perm` to perm or ml, `config.perms` to any but
     perm), or a given layer order is empty, not a permutation of range(m) or
-    has a non-integer entry; allocates nothing."""
+    has a non-integer entry, or when code is not a MonomialCode; allocates
+    nothing."""
+    check_monomial(code)
     if layer_perm is not None and config.decoder in ("perm", "ml"):
         raise ValueError(f"the {config.decoder} decoder takes no single layer order")
     if config.perms is not None and config.decoder != "perm":

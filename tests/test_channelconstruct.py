@@ -14,7 +14,7 @@ from symcalc.channelconstruct import (
     sc_error_estimate,
     select_permutations,
 )
-from symcalc.codes import MonomialCode, monomial_min_distance, rm_code
+from symcalc.codes import MonomialCode, monomial_min_distance, monomial_to_linear, rm_code
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
 from symcalc.sim import Bec, BiAwgn, noise_sigma
 
@@ -201,6 +201,14 @@ def test_polar_code_rejects_bad_shape(m, k):
 
 
 class TestSelectPermutations:
+    def test_linear_code_rejected(self):
+        """Ranking reads the exponent masks, so a LinearCode raises
+        ValueError, not AttributeError."""
+        code = monomial_to_linear(rm_code(1, 3))
+        for call in (lambda: select_permutations(code, 2, Bec(0.5)), lambda: sc_error_estimate(code, None, Bec(0.5))):
+            with pytest.raises(ValueError, match="LinearCode is not a monomial code"):
+                call()
+
     def test_single_best(self):
         code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
         sel = select_permutations(code, 1, BiAwgn(2.0))

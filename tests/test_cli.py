@@ -191,6 +191,14 @@ class TestAnalyzeCommand:
         code, _, _ = invoke(capsys, "analyze", "--code", str(path))
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("argv", [("simulate", "--channel", "bec:0.3"), ("perms", "--P", "2")])
+    def test_linear_file_to_decoding_command_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "ebch.code"
+        save_code(ebch_code(GF2mField(4), 5), path)
+        code, stdout, err = invoke(capsys, argv[0], "--code", str(path), *argv[1:])
+        assert code == EXIT_INVALID
+        assert err.startswith("error: LinearCode is not a monomial code") and not stdout
+
 
 class TestBoundsCommand:
     def test_csv_header_and_rm_points(self, capsys):

@@ -462,11 +462,12 @@ def test_plan_skips_frozen_subtrees(case):
 
 
 def test_plan_cache_is_bounded_and_read_only():
-    """A perm run over more orders than the setup cache and more single-order
-    groups than the plan cache hold evicts both and still gives each order's
-    reference codewords and ties, and no cached array can be written."""
-    size = decode._setup.cache_info().maxsize
-    assert size is not None and decode._plan.cache_info().maxsize is not None
+    """A perm run of more single-order groups than the plan cache holds
+    evicts it and still gives each order's reference codewords and ties; an
+    SCL-8 call under an evicted order rebuilds its plan and gives the
+    reference list; and no cached array can be written."""
+    size = decode._plan.cache_info().maxsize
+    assert size is not None
     rng = np.random.default_rng(19)
     code = MonomialCode(6, frozenset(rng.permutation(64)[:29].tolist()))
     perms = list(itertools.permutations(range(6)))[: size + 9]
@@ -476,6 +477,12 @@ def test_plan_cache_is_bounded_and_read_only():
     for i, perm in enumerate(perms):
         ref_cw, _, ref_ties = ref_sc_batch(code, llrs, perm)
         assert np.array_equal(cws[:, i], ref_cw) and np.array_equal(ties[:, i], ref_ties)
+    misses = decode._plan.cache_info().misses
+    cw, u, penalties = scl_decode_batch(code, llrs, 8, perms[0])
+    assert decode._plan.cache_info().misses == misses + 1  # perms[0] was evicted
+    ref_cw, ref_u, ref_penalties = ref_scl_batch(code, llrs, 8, perms[0])
+    assert np.array_equal(cw, ref_cw) and np.array_equal(u, ref_u)
+    assert np.array_equal(penalties.view(np.uint64), ref_penalties.view(np.uint64))
     plan = decode._plan(code.m, code.gen_set, tuple(perms[:3]))
     leaves = []
 
@@ -488,7 +495,7 @@ def test_plan_cache_is_bounded_and_read_only():
 
     collect(plan.tree)
     assert leaves  # the three orders disagree on some info leaf
-    for arr in [plan.coord, plan.inverse, plan.info, *decode._setup(code.m, code.gen_set, perms[0])] + leaves:
+    for arr in [plan.coord, plan.inverse, plan.info] + leaves:
         assert not arr.flags.writeable
 
 
@@ -660,6 +667,22 @@ class TestSclDecode:
             assert rank(stacked) == code.k
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda code, llrs: sc_decode_batch(code, llrs),
+        lambda code, llrs: sc_decode_orders(code, llrs, [None]),
+        lambda code, llrs: scl_decode_batch(code, llrs, 4),
+    ],
+    ids=["sc", "orders", "scl"],
+)
+def test_linear_code_rejected(call):
+    """The SC family addresses positions by exponent mask, so a LinearCode
+    raises ValueError, not AttributeError."""
+    with pytest.raises(ValueError, match="LinearCode is not a monomial code"):
+        call(monomial_to_linear(rm_code(1, 3)), np.ones((2, 8)))
+
+
 class TestPermutationDecode:
     def test_identity_equals_sc(self):
         code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
@@ -670,6 +693,22 @@ class TestPermutationDecode:
     def test_empty_perm_list_rejected(self):
         with pytest.raises(ValueError):
             sc_decode_orders(rm_code(1, 3), np.zeros((2, 8)), [])
+
+    def test_oversized_output_rejected_before_any_work(self):
+        """frames x n x P one cell over BATCH_LLR_CELLS raises before any
+        plan is built; exactly at the limit decodes each order as SC does."""
+        code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))
+        perms = list(itertools.permutations(range(4)))[:5]
+        _, _, llrs = draw_frames(code, BiAwgn(1.0), 53, 0, 3)
+        cells = llrs.size * len(perms)
+        with mock.patch.object(decode, "BATCH_LLR_CELLS", cells - 1), mock.patch.object(decode, "_plan") as plan:
+            with pytest.raises(ValueError, match=f"{cells} LLRs, over the limit {cells - 1}"):
+                sc_decode_orders(code, llrs, perms)
+        plan.assert_not_called()
+        with mock.patch.object(decode, "BATCH_LLR_CELLS", cells):
+            cws, _ = sc_decode_orders(code, llrs, perms)
+        for i, perm in enumerate(perms):
+            assert np.array_equal(cws[:, i], sc_decode_batch(code, llrs, layer_perm=perm)[0])
 
     def test_candidates_are_codewords(self):
         code = construct_partially_symmetric(ConstructionRequest(m=4, t=3, k=8))

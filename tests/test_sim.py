@@ -439,6 +439,24 @@ class TestLength256:
         assert fers[2] < fers[0]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda code: draw_frames(code, Bec(0.5), 0, 0, 2),
+        lambda code: check_working_set(code, SimConfig()),
+        lambda code: simulate_fer(code, Bec(0.5), SimConfig(max_frames=2)),
+        lambda code: simulate_fer(code, Bec(0.5), SimConfig(max_frames=2, decoder="ml")),
+        lambda code: fer_curve(code, [BiAwgn(2.0)], SimConfig(max_frames=2, decoder="perm")),
+    ],
+    ids=["draw_frames", "check_working_set", "simulate_sc", "simulate_ml", "fer_curve_perm"],
+)
+def test_linear_code_rejected(call):
+    """The simulator encodes by exponent mask, so a LinearCode raises
+    ValueError, not AttributeError, for every decoder."""
+    with pytest.raises(ValueError, match="LinearCode is not a monomial code"):
+        call(monomial_to_linear(CODE_16_8))
+
+
 class TestFerCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
