@@ -8,11 +8,12 @@ most significant variable first.
 
 SC, permutation and list decoding read one cached node plan per group of
 layer orders (`_plan`, a list decode a group of one): each order's
-coordinate gathers and leaf info pattern, and a tree that names the subtrees
-frozen under every order, which SC skips, and the leaves that are info under
-every order, which decide without a mask.  The check node (`llr_check`) runs
-large inputs in cache-sized blocks; both it and the plan leave every output
-bit as the plain recursion gives it.
+coordinate gathers and leaf info pattern, and, built when SC first walks
+it, a tree that names the subtrees frozen under every order, which SC
+skips, and the leaves that are info under every order, which decide without
+a mask.  The check node (`llr_check`) runs large inputs in cache-sized
+blocks; both it and the plan leave every output bit as the plain recursion
+gives it.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ def check_working_set(code: LinearCode | MonomialCode, frames: int, paths: int =
 
 
 # LLRs (frames x layer orders x n) in one pass of the SC recursion: 2048
-# frame-order rows at n = 256, and never fewer than one order
+# frame-order rows at n = 256, and never fewer than one order.  The
+# simulator sizes its decode calls by it too (sim._span)
 GROUP_LLRS = 2048 * 256
 
 
@@ -211,14 +213,18 @@ class _Plan:
 
     coord (n, P) gathers each order's recursion coordinates from the
     original ones, inverse (n, P) is its inverse (coordinate v is decoded
-    at leaf inverse[v]), info (n, P) the leaf info patterns and tree the
-    `_node_plan` of the whole recursion.
+    at leaf inverse[v]) and info (n, P) the leaf info patterns.
     """
 
     coord: np.ndarray
     inverse: np.ndarray
     info: np.ndarray
-    tree: object
+
+    @functools.cached_property
+    def tree(self):
+        """The `_node_plan` of the whole recursion, built on first use: only
+        SC walks it, and at m = 16 it is most of a plan's build time."""
+        return _node_plan(self.info)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -231,7 +237,7 @@ def _plan(m: int, gen_set: frozenset, perms: tuple[tuple[int, ...], ...]) -> _Pl
     info[inverse[sorted(gen_set)], np.arange(len(perms))] = True
     for arr in (coord, inverse, info):
         arr.setflags(write=False)
-    return _Plan(coord, inverse, info, _node_plan(info))
+    return _Plan(coord, inverse, info)
 
 
 def _llr_batch(code: LinearCode | MonomialCode, llrs: np.ndarray) -> np.ndarray:

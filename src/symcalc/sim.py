@@ -2,14 +2,21 @@
 
 Every frame draws from its own counter-based substream, Philox keyed by the
 uint64 pair (seed mod 2^64, frame index) with a zero counter: the info bits
-come first, then the channel draws.  Results are therefore bit-identical for
-any batch size or evaluation order.  A batch builds one Philox and re-keys it
-per frame through its state, which yields the same stream as a fresh
-generator.  Info bits are the top bits of the stream's bytes, read from raw
-64-bit words: the bits `Generator.integers(0, 2, dtype=uint8)` returns.  The
-channel arithmetic then runs once over the whole batch.  Error counting
-compares codewords, and a decoding error whose metric ties the transmitted
-codeword is reported separately as a tie.
+come first, then the channel draws.  A frame's outcome therefore does not
+depend on which other frames are drawn or decoded with it.  A batch builds
+one Philox and re-keys it per frame through its state, which yields the same
+stream as a fresh generator.  Info bits are the top bits of the stream's
+bytes, read from raw 64-bit words: the bits `Generator.integers(0, 2,
+dtype=uint8)` returns.  The channel arithmetic then runs once over the whole
+batch.  Error counting compares codewords, and a decoding error whose metric
+ties the transmitted codeword is reported separately as a tie.
+
+`simulate_fer` tests its error limit every *step* of frames
+(`check_working_set`), but draws and decodes up to a *span* of whole steps at
+a time, as many as fit in `decode.GROUP_LLRS` LLRs and no more than the
+errors still missing could fill.  The span only changes how many frames
+share a decode call: counts and stopping points are those of a step-by-step
+run, and no frame past an error stop is decoded.
 """
 
 from __future__ import annotations
@@ -189,39 +196,51 @@ class SimConfig:
         return ""
 
 
-# the most frames decoded at once; max_errors is tested at batch boundaries,
-# so this also fixes where an error-limited run stops
+# the largest step: max_errors is tested every step of frames, so this fixes
+# where an error-limited run stops.  A decode call takes up to a span of whole
+# steps (`_span`), which does not move the stops
 FRAME_BATCH = 256
 
 
+def _paths(code: MonomialCode, config: SimConfig) -> int:
+    """The list paths or layer orders a frame is decoded under."""
+    if config.decoder == "scl":
+        return min(config.list_size, 1 << code.k)
+    if config.decoder == "perm":
+        return config.perm_count if config.perms is None else len(config.perms)
+    return 1
+
+
 def check_working_set(code: MonomialCode, config: SimConfig, layer_perm: Sequence[int] | None = None) -> int:
-    """Return the frames per batch, at most FRAME_BATCH and max_frames and
-    within decode.BATCH_LLR_CELLS LLRs.  Raise ValueError when one frame
-    alone is over that limit, ML would enumerate more than
-    2^ML_MAX_DIMENSION codewords, a layer order is given to a decoder that
-    does not read it (`layer_perm` to perm or ml, `config.perms` to any but
-    perm), or a given layer order is empty, not a permutation of range(m) or
-    has a non-integer entry, or when code is not a MonomialCode; allocates
-    nothing."""
+    """Return the step: the frames between two tests of the error limit, at
+    most FRAME_BATCH and max_frames and within decode.BATCH_LLR_CELLS LLRs
+    of decoding (`_span` then groups whole steps per decode call).  Raise
+    ValueError when one frame alone is over that limit, ML would enumerate
+    more than 2^ML_MAX_DIMENSION codewords, a layer order is given to a
+    decoder that does not read it (`layer_perm` to perm or ml,
+    `config.perms` to any but perm), or a given layer order is empty, not a
+    permutation of range(m) or has a non-integer entry, or when code is not
+    a MonomialCode; allocates nothing."""
     check_monomial(code)
     if layer_perm is not None and config.decoder in ("perm", "ml"):
         raise ValueError(f"the {config.decoder} decoder takes no single layer order")
     if config.perms is not None and config.decoder != "perm":
         raise ValueError(f"the {config.decoder} decoder takes no permutation list")
     _dec.resolve_layer_order(code.m, layer_perm)
-    paths = 1
-    if config.decoder == "scl":
-        paths = min(config.list_size, 1 << code.k)
-    elif config.decoder == "perm" and config.perms is None:
-        paths = config.perm_count
-    elif config.decoder == "perm":
+    if config.decoder == "perm" and config.perms is not None:
         if not config.perms:
             raise ValueError("permutation list is empty")
         for perm in config.perms:
             _dec.resolve_layer_order(code.m, perm)
-        paths = len(config.perms)
+    paths = _paths(code, config)
     _dec.check_working_set(code, 1, paths, ml=config.decoder == "ml")
     return min(FRAME_BATCH, config.max_frames, _dec.BATCH_LLR_CELLS // (code.n * paths))
+
+
+def _span(code: MonomialCode, config: SimConfig, step: int) -> int:
+    """The most frames per decode call: the most whole steps within
+    decode.GROUP_LLRS LLRs of decoding, and at least one step."""
+    return step * max(1, _dec.GROUP_LLRS // (step * code.n * _paths(code, config)))
 
 
 @dataclass(frozen=True)
@@ -317,11 +336,11 @@ def _run_batch(code, channel, config: SimConfig, layer_perm, lo: int, hi: int) -
 
 
 def _resolve_perms(code, channel, config: SimConfig, layer_perm) -> tuple[SimConfig, int]:
-    """The config with any layer orders it asks for selected, and its frames
-    per batch for the orders it decodes; checked before any selection."""
-    batch = check_working_set(code, config, layer_perm)
+    """The config with any layer orders it asks for selected, and its step
+    for the orders it decodes; checked before any selection."""
+    step = check_working_set(code, config, layer_perm)
     if config.decoder != "perm" or config.perms is not None:
-        return config, batch
+        return config, step
     from .channelconstruct import select_permutations
 
     sel = select_permutations(code, config.perm_count, channel, min_dist=config.min_dist, seed=config.seed)
@@ -337,17 +356,22 @@ def simulate_fer(
 ) -> SimResult:
     """Estimate the frame error rate until an error or frame budget is hit.
 
-    The stopping rule is evaluated at batch boundaries; per-frame substreams
-    make the outcome independent of batch size.
+    The error limit is tested every step of frames (`check_working_set`).
+    Each decode call takes a span of whole steps (`_span`), cut to the steps
+    the errors still missing could fill, so the limit can only be reached
+    at a call's last step and no frame past a stop is decoded.  Per-frame
+    substreams make every count independent of the span.
     """
     start = time.perf_counter()
-    config, batch = _resolve_perms(code, channel, config, layer_perm)
+    config, step = _resolve_perms(code, channel, config, layer_perm)
+    span = _span(code, config, step)
     totals = _BatchCounts()
 
     stop_reason = "max_frames"
     lo = 0
     while lo < config.max_frames:
-        hi = min(lo + batch, config.max_frames)
+        missing_steps = -(-(config.max_errors - totals.errors) // step)
+        hi = min(lo + min(span, step * missing_steps), config.max_frames)
         counts = _run_batch(code, channel, config, layer_perm, lo, hi)
         totals.frames += counts.frames
         totals.errors += counts.errors

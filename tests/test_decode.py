@@ -499,6 +499,26 @@ def test_plan_cache_is_bounded_and_read_only():
         assert not arr.flags.writeable
 
 
+def test_list_decode_builds_no_sc_tree():
+    """An SCL decode that fills the plan cache never builds the SC tree; an
+    SC decode under the same order builds it once, on the cached plan."""
+    rng = np.random.default_rng(23)
+    code = MonomialCode(6, frozenset(rng.permutation(64)[:31].tolist()))
+    order = tuple(int(v) for v in rng.permutation(6))
+    llrs = 2.0 * (1.0 - 2.0 * rng.integers(0, 2, (4, 64)) + 0.9 * rng.standard_normal((4, 64)))
+    misses = decode._plan.cache_info().misses
+    with mock.patch.object(decode, "_node_plan", wraps=decode._node_plan) as node_plan:
+        cw, _, penalties = scl_decode_batch(code, llrs, 8, order)
+        assert decode._plan.cache_info().misses == misses + 1 and node_plan.call_count == 0
+        sc_cw, _, sc_ties = sc_decode_batch(code, llrs, order)
+        sc_decode_batch(code, llrs, order)
+        assert decode._plan.cache_info().misses == misses + 1 and node_plan.call_count == 1
+    ref_cw, _, ref_penalties = ref_scl_batch(code, llrs, 8, order)
+    assert np.array_equal(cw, ref_cw) and np.array_equal(penalties.view(np.uint64), ref_penalties.view(np.uint64))
+    ref_cw, _, ref_ties = ref_sc_batch(code, llrs, order)
+    assert np.array_equal(sc_cw, ref_cw) and np.array_equal(sc_ties, ref_ties)
+
+
 class TestLength256Reference:
     """The engine against the reference recursions at the benchmark's size,
     m = 8, beyond the m <= 6 of the hypothesis cases."""

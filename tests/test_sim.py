@@ -10,7 +10,7 @@ from scipy.stats import norm
 from symcalc.codes import MonomialCode, encode_batch, monomial_to_linear, rm_code
 from symcalc.construct import ConstructionRequest, construct_partially_symmetric
 from symcalc.channelconstruct import select_permutations
-from symcalc.decode import BATCH_LLR_CELLS, scl_decode_batch
+from symcalc.decode import BATCH_LLR_CELLS, sc_decode_orders, scl_decode_batch
 from symcalc.sim import (
     Bec,
     BiAwgn,
@@ -366,6 +366,96 @@ class TestDerivedBatch:
         assert counts(point.result) == counts(alone)
         if name == "INCOMPLETE":
             assert point.size_label == "720" and (alone.frames, alone.stop_reason) == (256, "max_errors")
+
+
+class TestSpan:
+    """Frames are decoded up to a span of whole steps at a time; the error
+    limit is still tested every step, so the span changes no count and no
+    stop."""
+
+    CODE_256 = construct_partially_symmetric(ConstructionRequest(m=8, t=5, k=128, rm_order=4))
+    # (code, config): SC at n = 256 (RM(3,8), which fails about three frames
+    # in four on both channels) and n = 16, SCL-8, SCL with L >= 2^k on the
+    # (16,8) code (its span is one step) and on the (8,4) code (16 steps),
+    # perm-4, perm-3 at n = 256 (a span of 2 steps, not 682 frames) and ML;
+    # max_frames is no whole number of steps
+    ORDERS_3 = ((7, 6, 5, 4, 3, 2, 1, 0), (0, 1, 2, 3, 4, 5, 6, 7), (3, 1, 6, 0, 7, 2, 5, 4))
+    CASES = {
+        "sc-n256": (rm_code(3, 8), SimConfig(decoder="sc", max_frames=1100)),
+        "perm3-n256": (rm_code(3, 8), SimConfig(decoder="perm", perms=ORDERS_3, max_frames=2000)),
+        "sc": (CODE_16_8, SimConfig(decoder="sc", max_frames=1500)),
+        "scl8": (CODE_16_8, SimConfig(decoder="scl", list_size=8, max_frames=1500)),
+        "scl256": (CODE_16_8, SimConfig(decoder="scl", list_size=256, max_frames=700)),
+        "scl64-k4": (rm_code(1, 3), SimConfig(decoder="scl", list_size=64, max_frames=1500)),
+        "perm4": (CODE_16_8, SimConfig(decoder="perm", perm_count=4, min_dist=2, max_frames=1500)),
+        "ml": (CODE_16_8, SimConfig(decoder="ml", max_frames=1500)),
+    }
+
+    @pytest.mark.parametrize("max_errors", [1, 7, 300, 600, 10**9])
+    @pytest.mark.parametrize("channel", [Bec(0.45), BiAwgn(1.5)], ids=["bec", "awgn"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_span_matches_one_step_calls(self, monkeypatch, case, channel, max_errors):
+        import symcalc.decode as dec_mod
+        import symcalc.sim as sim_mod
+
+        code, config = self.CASES[case]
+        config = replace(config, max_errors=max_errors, seed=max_errors % 5)
+        step = check_working_set(code, config)
+        assert (sim_mod._span(code, config, step) > step) == (case != "scl256")
+        drawn = []
+        monkeypatch.setattr(sim_mod, "draw_frames", lambda *args: drawn.append(args[4] - args[3]) or draw_frames(*args))
+        wide = simulate_fer(code, channel, config)
+        # a call holds no more steps than the missing errors could fill, so
+        # no frame past a stop is drawn and a limit of one error draws one step
+        assert sum(drawn) == wide.frames and (max_errors > 1 or drawn[0] == step)
+        monkeypatch.setattr(dec_mod, "GROUP_LLRS", 1)
+        assert sim_mod._span(code, config, step) == step
+        assert counts(wide) == counts(simulate_fer(code, channel, config))
+
+    def test_sc_orders_wide_batch_matches_256_frame_calls(self):
+        """SC on 1024 frames at n = 256, so the blocked check node runs on
+        inputs four times as large, gives the bits of four 256-frame calls."""
+        code = self.CODE_256
+        orders = [tuple(range(8)), (3, 7, 0, 5, 1, 6, 2, 4)]
+        llrs = np.vstack([draw_frames(code, channel, 5, 0, 512)[2] for channel in (BiAwgn(1.5), Bec(0.45))])
+        cws, ties = sc_decode_orders(code, llrs, orders)
+        assert ties[512:].any()
+        for lo in range(0, 1024, 256):
+            part_cws, part_ties = sc_decode_orders(code, llrs[lo : lo + 256], orders)
+            assert np.array_equal(cws[lo : lo + 256], part_cws) and np.array_equal(ties[lo : lo + 256], part_ties)
+
+    @pytest.mark.parametrize(
+        "code,config,sizes",
+        [
+            (CODE_256, SimConfig(decoder="sc", max_frames=1024), [1024]),
+            (CODE_256, SimConfig(decoder="sc", max_frames=5000), [2048, 2048, 904]),
+            (CODE_256, SimConfig(decoder="scl", list_size=8, max_frames=600), [256, 256, 88]),
+            (CODE_256, SimConfig(decoder="scl", list_size=32, max_frames=512), [256, 256]),
+            (CODE_256, SimConfig(decoder="perm", perms=((7, 6, 5, 4, 3, 2, 1, 0),) * 32, max_frames=512), [256, 256]),
+            (CODE_16_8, SimConfig(decoder="scl", list_size=256, max_frames=1024), [256] * 4),
+            (CODE_16_8, SimConfig(decoder="ml", max_frames=1024), [1024]),
+            (TestDerivedBatch.CODE, replace(TestDerivedBatch.COPIES, max_frames=500), [238, 238, 24]),
+        ],
+        ids=["sc-n256", "sc-n256-5000", "scl8-n256", "scl32-n256", "perm32-n256", "scl256", "ml", "perm1100-n64"],
+    )
+    def test_draws_stay_within_budget(self, monkeypatch, code, config, sizes):
+        """No draw covers more than max_frames, nor more than decode.GROUP_LLRS
+        LLRs of decoding unless it is a single step over them."""
+        import symcalc.decode as dec_mod
+        import symcalc.sim as sim_mod
+
+        drawn = []
+        monkeypatch.setattr(sim_mod, "draw_frames", lambda *args: drawn.append(args[4] - args[3]) or draw_frames(*args))
+        # hard decisions stand in for the decoder: only the draws are measured
+        monkeypatch.setattr(sim_mod, "_decode_batch", lambda code, llrs, *args: (llrs < 0).view(np.uint8))
+        config = replace(config, max_errors=10**9)
+        res = simulate_fer(code, BiAwgn(2.0), config)
+        step = check_working_set(code, config)
+        paths = sim_mod._paths(code, config)
+        assert drawn == sizes and res.frames == sum(sizes) == config.max_frames
+        for frames in drawn:
+            assert frames <= config.max_frames
+            assert frames <= step or frames * code.n * paths <= dec_mod.GROUP_LLRS
 
 
 @pytest.mark.parametrize(
